@@ -1,0 +1,95 @@
+"""Golden report bytes: refactors must leave every report byte-identical.
+
+Each case produces the exact text of a scheme report or of a CLI run;
+its sha256 must equal the one recorded in ``golden/reports.sha256.json``.
+A deliberate change of report bytes regenerates that file with::
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden/reports.sha256.json
+"""
+import hashlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wstategen import linalg
+from wstategen.cli import main
+from wstategen.schemes import run_designed_path, run_path_w, run_polarization_w
+
+GOLDEN = Path(__file__).parent / "golden" / "reports.sha256.json"
+
+FORMATS = ("json", "csv", "table")
+
+# Bunched DFT_5 input: two H photons share port 0, both sectors populated.
+EVOLVE_INPUT = {
+    "nPorts": 5,
+    "occ": [
+        {"port": 0, "pol": "H", "count": 2},
+        {"port": 1, "pol": "H", "count": 1},
+        {"port": 3, "pol": "V", "count": 1},
+        {"port": 4, "pol": "V", "count": 1},
+    ],
+}
+
+
+def _cli_text(argv: list[str]) -> str:
+    stream = io.StringIO()
+    assert main(argv, stream) == 0
+    return stream.getvalue()
+
+
+def _evolve_text(fmt: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix = Path(tmp) / "dft5.json"
+        state = Path(tmp) / "input.json"
+        linalg.write_matrix(matrix, linalg.dft_multiport(5))
+        state.write_text(json.dumps(EVOLVE_INPUT))
+        return _cli_text(["evolve", "--matrix", str(matrix), "--input", str(state),
+                          "--postselect", "one-per-port", "--format", fmt])
+
+
+def _cases() -> dict:
+    """Case name -> zero-argument function returning the report text."""
+    cases = {}
+    for n in range(2, 8):
+        cases[f"polar-w-n{n}"] = lambda n=n: run_polarization_w(n).to_json()
+    for n in (3, 8):
+        for port in (0, 2):
+            cases[f"path-w-n{n}-port{port}"] = lambda n=n, p=port: run_path_w(n, p).to_json()
+    clone = np.array([math.sqrt(2 / 3), -math.sqrt(1 / 6), -math.sqrt(1 / 6)])
+    cases["designed-clone"] = lambda: run_designed_path(clone).to_json()
+    for fmt in FORMATS:
+        cases[f"cli-polar-w-n4-{fmt}"] = lambda f=fmt: _cli_text(
+            ["polar-w", "--n", "4", "--format", f])
+        cases[f"cli-path-w-n6-port2-{fmt}"] = lambda f=fmt: _cli_text(
+            ["path-w", "--n", "6", "--input-port", "2", "--format", f])
+        cases[f"cli-evolve-dft5-bunched-{fmt}"] = lambda f=fmt: _evolve_text(f)
+    return cases
+
+
+CASES = _cases()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_file_lists_every_case():
+    assert set(json.loads(GOLDEN.read_text())) == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_unchanged(name):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert _sha256(CASES[name]()) == expected
+
+
+if __name__ == "__main__":
+    hashes = {name: _sha256(make()) for name, make in sorted(CASES.items())}
+    json.dump(hashes, sys.stdout, indent=2)
+    sys.stdout.write("\n")
