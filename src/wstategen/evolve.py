@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError
-from .fock import FockState, Mode, Polarization, SuperposedState
+from .fock import FockState, SuperposedState
 from .linalg import permanent, verify_unitary
 
 # Exact-enumeration limits; see CapacityError.
@@ -111,12 +111,8 @@ def transition_amplitude(u: np.ndarray, input_state: FockState,
         )
     if input_state.photons_per_pol() != output_state.photons_per_pol():
         return 0.0 + 0.0j
-    amp = 1.0 + 0.0j
-    for pol in (Polarization.H, Polarization.V):
-        amp *= _single_pol_amplitude(
-            u, input_state.occupation_vector(pol), output_state.occupation_vector(pol)
-        )
-    return amp
+    return (_single_pol_amplitude(u, input_state.h, output_state.h)
+            * _single_pol_amplitude(u, input_state.v, output_state.v))
 
 
 def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
@@ -132,25 +128,17 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
     _check_transition_caps(input_state)
     n = input_state.n_ports
 
-    per_pol: dict[Polarization, list[tuple[tuple[int, ...], complex]]] = {}
-    for pol in (Polarization.H, Polarization.V):
-        occ_in = input_state.occupation_vector(pol)
-        k = sum(occ_in)
-        per_pol[pol] = [
-            (occ_out, _single_pol_amplitude(u, occ_in, occ_out))
-            for occ_out in _occupation_vectors(n, k)
-        ]
+    per_pol = [
+        [(occ_out, _single_pol_amplitude(u, occ_in, occ_out))
+         for occ_out in _occupation_vectors(n, sum(occ_in))]
+        for occ_in in (input_state.h, input_state.v)
+    ]
 
     terms: dict[FockState, complex] = {}
-    for (occ_h, amp_h), (occ_v, amp_v) in iproduct(
-        per_pol[Polarization.H], per_pol[Polarization.V]
-    ):
+    for (occ_h, amp_h), (occ_v, amp_v) in iproduct(*per_pol):
         amp = amp_h * amp_v
-        if amp == 0:
-            continue
-        counts = {Mode(p, Polarization.H): c for p, c in enumerate(occ_h) if c > 0}
-        counts.update({Mode(p, Polarization.V): c for p, c in enumerate(occ_v) if c > 0})
-        terms[FockState.from_counts(counts, n)] = amp
+        if amp != 0:
+            terms[FockState(n, occ_h, occ_v)] = amp
     return SuperposedState(terms, n)
 
 
@@ -170,14 +158,9 @@ def oracle_evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
             f"oracle is capped at {ORACLE_PHOTON_CAP} photons and {ORACLE_PORT_CAP} ports"
         )
     lifted = lift_to_modes(u)
-
-    def lifted_index(mode: Mode) -> int:
-        return mode.port + (n if mode.pol == Polarization.V else 0)
-
-    input_modes = [lifted_index(m) for m, c in input_state.occ for _ in range(c)]
-    input_norm = math.prod(
-        math.factorial(c) for _, c in input_state.occ
-    )
+    occ_in = input_state.h + input_state.v
+    input_modes = _repeat_indices(occ_in)
+    input_norm = _factorial_norm(occ_in)
 
     collected: dict[tuple[int, ...], complex] = {}
     for choice in iproduct(range(2 * n), repeat=len(input_modes)):
@@ -190,15 +173,9 @@ def oracle_evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
         key = tuple(occ)
         collected[key] = collected.get(key, 0.0) + coeff
 
-    terms: dict[FockState, complex] = {}
-    for occ, coeff in collected.items():
-        out_norm = math.prod(math.factorial(c) for c in occ)
-        amp = coeff * math.sqrt(out_norm) / math.sqrt(input_norm)
-        counts = {}
-        for idx, c in enumerate(occ):
-            if c > 0:
-                pol = Polarization.V if idx >= n else Polarization.H
-                counts[Mode(idx % n, pol)] = c
-        state = FockState.from_counts(counts, n)
-        terms[state] = terms.get(state, 0.0) + amp
+    terms = {
+        FockState(n, occ[:n], occ[n:]):
+            coeff * math.sqrt(_factorial_norm(occ)) / math.sqrt(input_norm)
+        for occ, coeff in collected.items()
+    }
     return SuperposedState(terms, n)

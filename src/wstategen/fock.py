@@ -1,12 +1,14 @@
 """Bosonic mode labels, Fock occupation states, and sparse superpositions.
 
-A mode is a (spatial port, polarization) pair. A :class:`FockState` maps
-modes to photon counts in canonical form (zero counts absent, modes sorted
-by port then polarization with H < V). A :class:`SuperposedState` is a
+A mode is a (spatial port, polarization) pair. A :class:`FockState` holds
+two per-port occupation vectors, one for H photons and one for V photons,
+which is the form the evolution engine, term ordering and post-selection
+all work in. The sorted (mode, count) view ``FockState.occ`` is derived
+from them for the JSON and text forms. A :class:`SuperposedState` is a
 finite map from Fock states to complex amplitudes.
 
-All types are immutable values: equal occupation maps compare equal and
-hash identically, and everything is safe to share across threads.
+All types are immutable values: equal occupations compare equal and hash
+identically, and everything is safe to share across threads.
 """
 from __future__ import annotations
 
@@ -26,9 +28,6 @@ class Polarization(str, enum.Enum):
     H = "H"
     V = "V"
 
-    def __lt__(self, other: "Polarization") -> bool:
-        return self.value < other.value
-
 
 class Mode(NamedTuple):
     port: int
@@ -39,19 +38,22 @@ class Mode(NamedTuple):
 class FockState:
     """Occupation-number state over (port, polarization) modes.
 
-    ``occ`` is a sorted tuple of (Mode, count) pairs with all counts > 0;
-    use :meth:`from_counts` rather than the raw constructor.
+    ``h`` and ``v`` are length-``n_ports`` tuples of per-port photon
+    counts for the H and V polarizations. The raw constructor trusts its
+    arguments; :meth:`from_counts` validates (mode, count) input.
     """
 
     n_ports: int
-    occ: tuple[tuple[Mode, int], ...]
+    h: tuple[int, ...]
+    v: tuple[int, ...]
 
     @classmethod
     def from_counts(cls, counts: Mapping[Mode, int] | Iterable[tuple[Mode, int]],
                     n_ports: int) -> "FockState":
+        """State from (mode, count) pairs; counts of a repeated mode add up."""
         if n_ports < 1:
             raise ValueError(f"n_ports must be positive, got {n_ports}")
-        merged: dict[Mode, int] = {}
+        vecs = {Polarization.H: [0] * n_ports, Polarization.V: [0] * n_ports}
         items = counts.items() if isinstance(counts, Mapping) else counts
         for mode, count in items:
             mode = Mode(mode[0], Polarization(mode[1]))
@@ -59,45 +61,39 @@ class FockState:
                 raise ValueError(f"negative photon count {count} for mode {mode}")
             if not 0 <= mode.port < n_ports:
                 raise ValueError(f"port {mode.port} out of range for {n_ports} ports")
-            if count > 0:
-                merged[mode] = merged.get(mode, 0) + count
-        occ = tuple(sorted(merged.items(), key=lambda mc: (mc[0].port, mc[0].pol.value)))
-        return cls(n_ports, occ)
+            vecs[mode.pol][mode.port] += count
+        return cls(n_ports, tuple(vecs[Polarization.H]), tuple(vecs[Polarization.V]))
+
+    @property
+    def occ(self) -> tuple[tuple[Mode, int], ...]:
+        """(Mode, count) pairs with count > 0, by port then polarization (H before V)."""
+        return tuple(
+            (Mode(port, pol), c)
+            for port, pair in enumerate(zip(self.h, self.v))
+            for pol, c in zip(Polarization, pair)
+            if c > 0
+        )
 
     def count(self, mode: Mode) -> int:
-        for m, c in self.occ:
-            if m == mode:
-                return c
-        return 0
+        return self.occupation_vector(mode.pol)[mode.port] if 0 <= mode.port < self.n_ports else 0
 
     def total_photons(self) -> int:
-        return sum(c for _, c in self.occ)
+        return sum(self.h) + sum(self.v)
 
     def photons_per_pol(self) -> dict[Polarization, int]:
-        totals = {Polarization.H: 0, Polarization.V: 0}
-        for mode, c in self.occ:
-            totals[mode.pol] += c
-        return totals
+        return {Polarization.H: sum(self.h), Polarization.V: sum(self.v)}
 
     def occupation_vector(self, pol: Polarization) -> tuple[int, ...]:
         """Per-port counts for one polarization, length n_ports."""
-        vec = [0] * self.n_ports
-        for mode, c in self.occ:
-            if mode.pol == pol:
-                vec[mode.port] = c
-        return tuple(vec)
+        return self.h if pol == Polarization.H else self.v
 
     def spatial_counts(self) -> tuple[int, ...]:
         """Per-port counts summed over polarization (what a non-resolving detector sees)."""
-        vec = [0] * self.n_ports
-        for mode, c in self.occ:
-            vec[mode.port] += c
-        return tuple(vec)
+        return tuple(map(sum, zip(self.h, self.v)))
 
     def sort_key(self) -> tuple:
         """Deterministic ordering key: lexicographic occupation vectors, H sector major."""
-        return (self.occupation_vector(Polarization.H),
-                self.occupation_vector(Polarization.V))
+        return (self.h, self.v)
 
     def to_json_obj(self) -> dict:
         return {
@@ -111,9 +107,10 @@ class FockState:
         return cls.from_counts(counts, obj["nPorts"])
 
     def __str__(self) -> str:
-        if not self.occ:
+        occ = self.occ
+        if not occ:
             return f"|vac;{self.n_ports}>"
-        parts = [f"{m.pol.value}{m.port}" + (f"^{c}" if c > 1 else "") for m, c in self.occ]
+        parts = [f"{m.pol.value}{m.port}" + (f"^{c}" if c > 1 else "") for m, c in occ]
         return "|" + " ".join(parts) + ">"
 
 
@@ -207,41 +204,26 @@ class SuperposedState:
 
 def single_photon_state(port: int, pol: Polarization, n_ports: int) -> FockState:
     """One photon in (port, pol), every other mode vacuum."""
-    if not 0 <= port < n_ports:
-        raise ValueError(f"port {port} out of range for {n_ports} ports")
     return FockState.from_counts({Mode(port, pol): 1}, n_ports)
 
 
 def product_input(photons: Sequence[tuple[int, Polarization]], n_ports: int) -> FockState:
     """Fock state with one photon per entry; repeated modes accumulate counts."""
-    counts: dict[Mode, int] = {}
-    for port, pol in photons:
-        if not 0 <= port < n_ports:
-            raise ValueError(f"port {port} out of range for {n_ports} ports")
-        mode = Mode(port, Polarization(pol))
-        counts[mode] = counts.get(mode, 0) + 1
-    return FockState.from_counts(counts, n_ports)
+    return FockState.from_counts(((Mode(port, pol), 1) for port, pol in photons), n_ports)
 
 
 def w_state_path(n: int) -> SuperposedState:
     """Single-photon path W state: one H photon spread uniformly over n ports."""
     if n < 2:
         raise ValueError(f"need at least 2 ports, got {n}")
-    amp = 1.0 / math.sqrt(n)
-    terms = {single_photon_state(p, Polarization.H, n): amp for p in range(n)}
-    return SuperposedState(terms, n)
+    return target_from_coefficients([1.0 / math.sqrt(n)] * n, "path")
 
 
 def w_state_polarization(n: int) -> SuperposedState:
     """n-photon polarization W state: one photon per port, the single V shared uniformly."""
     if n < 2:
         raise ValueError(f"need at least 2 ports, got {n}")
-    amp = 1.0 / math.sqrt(n)
-    terms = {}
-    for v_port in range(n):
-        photons = [(p, Polarization.V if p == v_port else Polarization.H) for p in range(n)]
-        terms[product_input(photons, n)] = amp
-    return SuperposedState(terms, n)
+    return target_from_coefficients([1.0 / math.sqrt(n)] * n, "polarization")
 
 
 def target_from_coefficients(coeffs: Sequence[complex], kind: str) -> SuperposedState:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fock import FockState, SuperposedState
+from .fock import NORMALIZATION_TOL, FockState, SuperposedState
 
 # Below this a kept weight is treated as exact destructive interference,
 # not renormalizable round-off.
@@ -103,10 +103,17 @@ def branch_amplitude_report(
 
 
 def fidelity(state: SuperposedState, target: SuperposedState) -> float:
-    """|<target|state>|^2 for pure states; global-phase invariant, in [0, 1]."""
+    """|<target|state>|^2 for pure states; global-phase invariant, in [0, 1].
+
+    Round-off above 1 within ``NORMALIZATION_TOL`` is clamped to 1; a larger
+    excess means an input state is not normalized and raises ArithmeticError.
+    """
     if state.n_ports != target.n_ports:
         raise ValueError(
             f"port counts differ: {state.n_ports} vs {target.n_ports}"
         )
     overlap = sum(target.amplitude(s).conjugate() * a for s, a in state)
-    return min(abs(overlap) ** 2, 1.0)
+    value = abs(overlap) ** 2
+    if value > 1.0 + NORMALIZATION_TOL:
+        raise ArithmeticError(f"fidelity {value!r} exceeds 1: a state is not normalized")
+    return min(value, 1.0)

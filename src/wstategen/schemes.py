@@ -19,6 +19,7 @@ from .fock import (
     SuperposedState,
     product_input,
     single_photon_state,
+    target_from_coefficients,
     w_state_path,
     w_state_polarization,
 )
@@ -154,9 +155,7 @@ def run_designed_path(target: np.ndarray) -> SchemeReport:
     n = c.size
     u = linalg.complete_unitary_from_column(c)
     out = evolve(u, single_photon_state(0, Polarization.H, n))
-    target_state = SuperposedState(
-        {single_photon_state(p, Polarization.H, n): complex(c[p]) for p in range(n)}, n
-    )
+    target_state = target_from_coefficients(c[::-1], "path")
     for p in range(n):
         amp = out.amplitude(single_photon_state(p, Polarization.H, n))
         if abs(amp - c[p]) > 1e-10:

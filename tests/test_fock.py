@@ -59,6 +59,31 @@ class TestFockState:
         s = product_input([(0, H), (0, H), (2, V)], 3)
         assert FockState.from_json_obj(s.to_json_obj()) == s
 
+    def test_repeated_mode_counts_merge(self):
+        s = FockState.from_counts([(Mode(1, V), 1), (Mode(0, H), 1), (Mode(1, V), 2)], 2)
+        assert s.count(Mode(1, V)) == 3
+        assert (s.h, s.v) == ((1, 0), (0, 3))
+
+    def test_occ_is_port_major_h_before_v(self):
+        s = FockState.from_counts({Mode(1, V): 1, Mode(0, V): 1, Mode(1, H): 2}, 2)
+        assert s.occ == ((Mode(0, V), 1), (Mode(1, H), 2), (Mode(1, V), 1))
+
+    def test_count_of_absent_mode_is_zero(self):
+        s = single_photon_state(0, H, 3)
+        assert s.count(Mode(0, V)) == 0
+        assert s.count(Mode(2, H)) == 0
+
+    def test_constructors_agree(self):
+        a = FockState.from_counts({Mode(2, V): 1, Mode(0, H): 2}, 3)
+        b = FockState.from_json_obj(a.to_json_obj())
+        c = FockState(3, (2, 0, 0), (0, 0, 1))
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+
+    def test_str_of_bunched_state(self):
+        s = product_input([(3, H), (0, V), (0, H), (0, H)], 4)
+        assert str(s) == "|H0^2 V0 H3>"
+
     def test_json_shape(self):
         s = single_photon_state(1, V, 2)
         assert s.to_json_obj() == {

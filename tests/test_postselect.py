@@ -130,3 +130,15 @@ class TestFidelity:
     def test_port_mismatch_raises(self):
         with pytest.raises(ValueError):
             fidelity(w_state_path(2), w_state_path(3))
+
+    def test_round_off_above_one_is_clamped(self):
+        target = SuperposedState({single_photon_state(0, H, 2): 1.0}, 2)
+        state = SuperposedState({single_photon_state(0, H, 2): 1.0 + 1e-11}, 2)
+        assert fidelity(state, target) == 1.0
+
+    def test_unnormalized_state_raises(self):
+        target = SuperposedState({single_photon_state(0, H, 2): 1.0}, 2)
+        state = SuperposedState({single_photon_state(0, H, 2): 2.0}, 2,
+                                require_normalized=False)
+        with pytest.raises(ArithmeticError):
+            fidelity(state, target)
