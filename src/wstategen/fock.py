@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -67,12 +68,13 @@ class FockState:
     @property
     def occ(self) -> tuple[tuple[Mode, int], ...]:
         """(Mode, count) pairs with count > 0, by port then polarization (H before V)."""
-        return tuple(
-            (Mode(port, pol), c)
-            for port, pair in enumerate(zip(self.h, self.v))
-            for pol, c in zip(Polarization, pair)
-            if c > 0
-        )
+        pairs = []
+        for port, (ch, cv) in enumerate(zip(self.h, self.v)):
+            if ch:
+                pairs.append((Mode(port, Polarization.H), ch))
+            if cv:
+                pairs.append((Mode(port, Polarization.V), cv))
+        return tuple(pairs)
 
     def count(self, mode: Mode) -> int:
         return self.occupation_vector(mode.pol)[mode.port] if 0 <= mode.port < self.n_ports else 0
@@ -89,7 +91,7 @@ class FockState:
 
     def spatial_counts(self) -> tuple[int, ...]:
         """Per-port counts summed over polarization (what a non-resolving detector sees)."""
-        return tuple(map(sum, zip(self.h, self.v)))
+        return tuple(map(operator.add, self.h, self.v))
 
     def sort_key(self) -> tuple:
         """Deterministic ordering key: lexicographic occupation vectors, H sector major."""
