@@ -7,7 +7,7 @@ one-photon-per-port post-selection. Plus a designer that completes a
 unitary from an arbitrary normalized target column.
 """
 
-from .errors import CapacityError
+from .errors import CapacityError, NumericalError
 from .fock import (
     FockState,
     Mode,
@@ -51,6 +51,7 @@ __all__ = [
     "CoincidencePattern",
     "FockState",
     "Mode",
+    "NumericalError",
     "Polarization",
     "PostSelectionResult",
     "SchemeReport",

@@ -8,7 +8,8 @@ Subcommands::
     wstategen design --target target.json --out unitary.json
     wstategen evolve --matrix m.json --input state.json [--postselect one-per-port]
 
-Exit codes: 0 success, 2 invalid input, 3 numerical or capacity failure.
+Exit codes: 0 success, 2 invalid input, 3 numerical or capacity failure;
+:func:`main` is the one place that maps exceptions to them.
 JSON output is lossless; csv and table round to 12 significant digits,
 and the table format annotates values that are (within 1e-12) a small
 exact fraction p/q with q <= 64, so 0.111111111111 reads as 1/9.
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .errors import CapacityError
+from .errors import CapacityError, NumericalError
 from .evolve import evolve as evolve_state
 from .fock import FockState, SuperposedState
 from .postselect import CoincidencePattern, postselect
@@ -67,7 +68,7 @@ def _report_rows(report: SchemeReport) -> list[tuple[str, float]]:
 
 def _print_path_w(report: SchemeReport, fmt: str, stream) -> None:
     if fmt == "json":
-        _dump_json(report.to_json_obj(), stream)
+        stream.write(report.to_json())
     elif fmt == "csv":
         stream.write("port,probability\n")
         for port, prob in enumerate(report.port_probabilities):
@@ -84,7 +85,7 @@ def _print_path_w(report: SchemeReport, fmt: str, stream) -> None:
 
 def _print_polar_w(report: SchemeReport, fmt: str, stream) -> None:
     if fmt == "json":
-        _dump_json(report.to_json_obj(), stream)
+        stream.write(report.to_json())
     elif fmt == "csv":
         stream.write("metric,value\n")
         for name, value in _report_rows(report):
@@ -112,57 +113,31 @@ def _print_superposed(state: SuperposedState, fmt: str, stream, heading: str) ->
             )
 
 
-def cmd_multiport(args, stream) -> int:
-    if args.n < 2:
-        print("error: n must be >= 2", file=sys.stderr)
-        return EXIT_INVALID
-    u = linalg.dft_multiport(args.n)
+def _load_json(path: str, what: str, parse):
+    """``parse`` applied to the JSON in ``path``; any failure becomes one ValueError."""
     try:
-        linalg.write_matrix(args.out, u)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        with open(path) as f:
+            return parse(json.load(f))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def cmd_multiport(args, stream) -> None:
+    linalg.write_matrix(args.out, linalg.dft_multiport(args.n))
     stream.write(f"wrote {args.n}x{args.n} DFT multiport to {args.out}\n")
-    return EXIT_OK
 
 
-def cmd_path_w(args, stream) -> int:
-    try:
-        report = run_path_w(args.n, args.input_port)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    _print_path_w(report, args.format, stream)
-    return EXIT_OK
+def cmd_path_w(args, stream) -> None:
+    _print_path_w(run_path_w(args.n, args.input_port), args.format, stream)
 
 
-def cmd_polar_w(args, stream) -> int:
-    try:
-        report = run_polarization_w(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except CapacityError as exc:
-        print(f"error: capacity exceeded: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    _print_polar_w(report, args.format, stream)
-    return EXIT_OK
+def cmd_polar_w(args, stream) -> None:
+    _print_polar_w(run_polarization_w(args.n), args.format, stream)
 
 
-def cmd_design(args, stream) -> int:
-    try:
-        with open(args.target) as f:
-            raw = json.load(f)
-        target = np.array([complex(re, im) for re, im in raw])
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read target vector from {args.target}: {exc}",
-              file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        target = linalg.check_normalized_column(target)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+def cmd_design(args, stream) -> None:
+    target = _load_json(args.target, "target vector",
+                        lambda raw: np.array([complex(re, im) for re, im in raw]))
     u = linalg.complete_unitary_from_column(target)
 
     column_ok = bool(np.max(np.abs(u[:, 0] - target)) <= 1e-10)
@@ -170,40 +145,15 @@ def cmd_design(args, stream) -> int:
     stream.write(f"column match: {'PASS' if column_ok else 'FAIL'}\n")
     stream.write(f"unitarity: {'PASS' if unitary_ok else 'FAIL'}\n")
     if not (column_ok and unitary_ok):
-        print("error: completed unitary failed verification", file=sys.stderr)
-        return EXIT_NUMERICAL
-    try:
-        linalg.write_matrix(args.out, u)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise NumericalError("completed unitary failed verification")
+    linalg.write_matrix(args.out, u)
     stream.write(f"wrote completed unitary to {args.out}\n")
-    return EXIT_OK
 
 
-def cmd_evolve(args, stream) -> int:
-    try:
-        u = linalg.read_matrix(args.matrix)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read matrix from {args.matrix}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    if not linalg.verify_unitary(u, 1e-10):
-        print("error: matrix not unitary within 1e-10", file=sys.stderr)
-        return EXIT_NUMERICAL
-    try:
-        with open(args.input) as f:
-            input_state = FockState.from_json_obj(json.load(f))
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read input state from {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        out = evolve_state(u, input_state)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except CapacityError as exc:
-        print(f"error: capacity exceeded: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+def cmd_evolve(args, stream) -> None:
+    u = _load_json(args.matrix, "matrix", linalg.matrix_from_json_obj)
+    input_state = _load_json(args.input, "input state", FockState.from_json_obj)
+    out = evolve_state(u, input_state)
 
     result = None
     if args.postselect is not None:
@@ -225,7 +175,6 @@ def cmd_evolve(args, stream) -> int:
             if result.kept_terms:
                 _print_superposed(result.conditional, args.format, stream,
                                   "conditional state")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +221,18 @@ def main(argv: list[str] | None = None, stream=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
-    return args.func(args, stream if stream is not None else sys.stdout)
+    try:
+        args.func(args, stream if stream is not None else sys.stdout)
+    except CapacityError as exc:
+        print(f"error: capacity exceeded: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ArithmeticError as exc:  # NumericalError included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    return EXIT_OK
 
 
 def entry_point() -> None:

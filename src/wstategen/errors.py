@@ -11,3 +11,12 @@ class CapacityError(Exception):
     Permanents cost O(2^k) and output-pattern counts grow combinatorially,
     so oversized requests fail loudly instead of hanging.
     """
+
+
+class NumericalError(ValueError, ArithmeticError):
+    """Raised when a computed quantity leaves its tolerance.
+
+    Examples are a non-unitary coupler, an unnormalized state or a
+    fidelity above 1. Both bases are kept so callers that catch
+    ``ValueError`` or ``ArithmeticError`` still see it.
+    """

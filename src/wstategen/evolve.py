@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, NumericalError
 from .fock import FockState, SuperposedState
 from .linalg import permanent, verify_unitary
 
@@ -124,7 +124,7 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
     """
     u = _require_compatible(u, input_state)
     if not verify_unitary(u):
-        raise ValueError("matrix not unitary within 1e-10")
+        raise NumericalError("matrix not unitary within 1e-10")
     _check_transition_caps(input_state)
     n = input_state.n_ports
 

@@ -18,6 +18,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from .errors import NumericalError
+
 # Amplitudes below this are dropped on construction so destructive
 # interference leaves canonical term maps.
 AMPLITUDE_PRUNE_TOL = 1e-12
@@ -51,13 +53,19 @@ class FockState:
     @classmethod
     def from_counts(cls, counts: Mapping[Mode, int] | Iterable[tuple[Mode, int]],
                     n_ports: int) -> "FockState":
-        """State from (mode, count) pairs; counts of a repeated mode add up."""
+        """State from integer (mode, count) pairs; counts of a repeated mode add up."""
         if n_ports < 1:
             raise ValueError(f"n_ports must be positive, got {n_ports}")
         vecs = {Polarization.H: [0] * n_ports, Polarization.V: [0] * n_ports}
         items = counts.items() if isinstance(counts, Mapping) else counts
         for mode, count in items:
-            mode = Mode(mode[0], Polarization(mode[1]))
+            try:
+                mode = Mode(operator.index(mode[0]), Polarization(mode[1]))
+                count = operator.index(count)
+            except TypeError:
+                raise ValueError(
+                    f"port and count must be integers, got {mode!r} with count {count!r}"
+                ) from None
             if count < 0:
                 raise ValueError(f"negative photon count {count} for mode {mode}")
             if not 0 <= mode.port < n_ports:
@@ -105,8 +113,8 @@ class FockState:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FockState":
-        counts = {Mode(e["port"], Polarization(e["pol"])): e["count"] for e in obj["occ"]}
-        return cls.from_counts(counts, obj["nPorts"])
+        pairs = [((e["port"], e["pol"]), e["count"]) for e in obj["occ"]]
+        return cls.from_counts(pairs, obj["nPorts"])
 
     def __str__(self) -> str:
         occ = self.occ
@@ -150,7 +158,7 @@ class SuperposedState:
         if require_normalized:
             norm_sq = sum(abs(a) ** 2 for a in kept.values())
             if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
-                raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
+                raise NumericalError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
         self.n_ports = n_ports
         self._terms = dict(sorted(kept.items(), key=lambda sa: sa[0].sort_key()))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import NumericalError
 from .fock import NORMALIZATION_TOL, FockState, SuperposedState
 
 # Below this a kept weight is treated as exact destructive interference,
@@ -106,7 +107,7 @@ def fidelity(state: SuperposedState, target: SuperposedState) -> float:
     """|<target|state>|^2 for pure states; global-phase invariant, in [0, 1].
 
     Round-off above 1 within ``NORMALIZATION_TOL`` is clamped to 1; a larger
-    excess means an input state is not normalized and raises ArithmeticError.
+    excess means an input state is not normalized and raises NumericalError.
     """
     if state.n_ports != target.n_ports:
         raise ValueError(
@@ -115,5 +116,5 @@ def fidelity(state: SuperposedState, target: SuperposedState) -> float:
     overlap = sum(target.amplitude(s).conjugate() * a for s, a in state)
     value = abs(overlap) ** 2
     if value > 1.0 + NORMALIZATION_TOL:
-        raise ArithmeticError(f"fidelity {value!r} exceeds 1: a state is not normalized")
+        raise NumericalError(f"fidelity {value!r} exceeds 1: a state is not normalized")
     return min(value, 1.0)

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
+from .errors import NumericalError
 from .fock import (
     FockState,
     Polarization,
@@ -159,7 +160,7 @@ def run_designed_path(target: np.ndarray) -> SchemeReport:
     for p in range(n):
         amp = out.amplitude(single_photon_state(p, Polarization.H, n))
         if abs(amp - c[p]) > 1e-10:
-            raise ArithmeticError(
+            raise NumericalError(
                 f"designed output at port {p} is {amp}, expected {c[p]}"
             )
     return SchemeReport(

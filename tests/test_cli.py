@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -5,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from wstategen import linalg
+from wstategen import linalg, schemes
 from wstategen.cli import main
+from wstategen.errors import NumericalError
 from wstategen.fock import Polarization, product_input
 
 H, V = Polarization.H, Polarization.V
@@ -81,6 +83,16 @@ class TestPolarW:
         code, _ = run_cli("polar-w", "--n", "30")
         assert code == 3
 
+    def test_fidelity_failure_exits_3(self, monkeypatch, capsys):
+        def broken_fidelity(state, target):
+            raise NumericalError("fidelity 1.5 exceeds 1: a state is not normalized")
+
+        monkeypatch.setattr(schemes, "fidelity", broken_fidelity)
+        code, text = run_cli("polar-w", "--n", "3")
+        assert code == 3
+        assert text == ""
+        assert "fidelity 1.5 exceeds 1" in capsys.readouterr().err
+
 
 class TestDesign:
     def test_clone_target(self, tmp_path):
@@ -112,6 +124,16 @@ class TestDesign:
         code, _ = run_cli("design", "--target", str(target_path), "--out",
                           str(tmp_path / "u.json"))
         assert code == 2
+
+    def test_failed_verification_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(linalg, "verify_unitary", lambda m, tol=1e-10: False)
+        target_path = tmp_path / "target.json"
+        target_path.write_text(json.dumps([[0.6, 0.0], [0.8, 0.0]]))
+        out = tmp_path / "u.json"
+        code, text = run_cli("design", "--target", str(target_path), "--out", str(out))
+        assert code == 3
+        assert text == "column match: PASS\nunitarity: FAIL\n"
+        assert not out.exists()
 
     def test_input_file_untouched(self, tmp_path):
         target_path = tmp_path / "target.json"
@@ -179,6 +201,30 @@ class TestEvolve:
         code, _ = run_cli("evolve", "--matrix", str(matrix_path),
                           "--input", scheme2_path)
         assert code == 3
+
+    def test_unnormalized_output_exits_3(self, tmp_path, scheme2_path, monkeypatch, capsys):
+        # With the unitarity checks bypassed, the state assembled from
+        # np.ones((3, 3)) fails its normalization check instead.
+        always = lambda m, tol=1e-10: True  # noqa: E731
+        monkeypatch.setattr(linalg, "verify_unitary", always)
+        # The package re-exports the function evolve, which shadows the module name.
+        evolve_module = importlib.import_module("wstategen.evolve")
+        monkeypatch.setattr(evolve_module, "verify_unitary", always)
+        matrix_path = tmp_path / "bad.json"
+        linalg.write_matrix(matrix_path, np.ones((3, 3)))
+        code, _ = run_cli("evolve", "--matrix", str(matrix_path),
+                          "--input", scheme2_path)
+        assert code == 3
+        assert "not normalized" in capsys.readouterr().err
+
+    def test_non_integer_count_exits_2(self, tritter_path, tmp_path, capsys):
+        input_path = tmp_path / "input.json"
+        input_path.write_text(json.dumps(
+            {"nPorts": 3, "occ": [{"port": 0, "pol": "H", "count": 1.5}]}))
+        code, _ = run_cli("evolve", "--matrix", tritter_path,
+                          "--input", str(input_path))
+        assert code == 2
+        assert "cannot read input state" in capsys.readouterr().err
 
     def test_unparsable_matrix(self, tmp_path, scheme2_path):
         matrix_path = tmp_path / "garbage.json"

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 import pytest
 
-from wstategen.errors import CapacityError
+from wstategen.errors import CapacityError, NumericalError
 from wstategen.evolve import evolve, lift_to_modes, oracle_evolve, transition_amplitude
 from wstategen.fock import (
     FockState,
@@ -152,8 +152,11 @@ class TestEvolve:
             evolve(u, too_many)
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError, match="not unitary") as info:
             evolve(np.ones((2, 2)), single_photon_state(0, H, 2))
+        # Callers that catch either base class still see it.
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, ArithmeticError)
 
 
 class TestOracleEvolve:

@@ -64,6 +64,22 @@ class TestFockState:
         assert s.count(Mode(1, V)) == 3
         assert (s.h, s.v) == ((1, 0), (0, 3))
 
+    def test_repeated_json_entries_add_up(self):
+        entry = {"port": 0, "pol": "H", "count": 1}
+        s = FockState.from_json_obj({"nPorts": 2, "occ": [entry, entry]})
+        assert s == FockState(2, (2, 0), (0, 0))
+        assert str(s) == "|H0^2>"
+
+    @pytest.mark.parametrize("port, count", [(0, 1.5), (0.0, 1), (0, "1")])
+    def test_non_integer_port_or_count_rejected(self, port, count):
+        with pytest.raises(ValueError, match="must be integers"):
+            FockState.from_counts([((port, H), count)], 2)
+
+    def test_numpy_integers_accepted(self):
+        s = FockState.from_counts([((np.int64(1), V), np.int32(2))], 2)
+        assert s == FockState(2, (0, 0), (0, 2))
+        assert type(s.v[1]) is int
+
     def test_occ_is_port_major_h_before_v(self):
         s = FockState.from_counts({Mode(1, V): 1, Mode(0, V): 1, Mode(1, H): 2}, 2)
         assert s.occ == ((Mode(0, V), 1), (Mode(1, H), 2), (Mode(1, V), 1))
