@@ -54,8 +54,9 @@ class FockState:
     def from_counts(cls, counts: Mapping[Mode, int] | Iterable[tuple[Mode, int]],
                     n_ports: int) -> "FockState":
         """State from integer (mode, count) pairs; counts of a repeated mode add up."""
-        if n_ports < 1:
-            raise ValueError(f"n_ports must be positive, got {n_ports}")
+        if not hasattr(n_ports, "__index__") or n_ports < 1:
+            raise ValueError(f"n_ports must be a positive integer, got {n_ports!r}")
+        n_ports = operator.index(n_ports)
         vecs = {Polarization.H: [0] * n_ports, Polarization.V: [0] * n_ports}
         items = counts.items() if isinstance(counts, Mapping) else counts
         for mode, count in items:

@@ -9,6 +9,7 @@ zero-indexed throughout.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -20,6 +21,9 @@ UNITARITY_TOL = 1e-10
 
 # 2^k Ryser cost; beyond this the call would silently hang.
 PERMANENT_SIZE_CAP = 24
+
+# Gray-code steps per numpy pass in `permanent`; bounds its memory.
+_GRAY_CHUNK = 1 << 14
 
 
 def dft_multiport(n: int) -> np.ndarray:
@@ -60,8 +64,9 @@ def verify_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
 def permanent(m: np.ndarray) -> complex:
     """Permanent of a square complex matrix via Ryser's formula with Gray-code updates.
 
-    Runs in O(2^k * k) for a k x k matrix; k is capped at
-    ``PERMANENT_SIZE_CAP``.
+    O(2^k * k) time and O(2^14 * k) memory for a k x k matrix, k capped at
+    ``PERMANENT_SIZE_CAP``. The steps run in numpy chunks that add up in the
+    sequential Gray-code order, so results are bit-identical to a step loop.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -69,25 +74,35 @@ def permanent(m: np.ndarray) -> complex:
     n = a.shape[0]
     if n > PERMANENT_SIZE_CAP:
         raise ValueError(f"matrix size {n} exceeds permanent cap {PERMANENT_SIZE_CAP}")
+    if n == 1:
+        # The single step of the chunked form, written out: same bits, no arrays.
+        return -(0j - (0j + complex(a[0, 0])))
 
-    total = 0.0 + 0.0j
-    rowsum = np.zeros(n, dtype=complex)
-    gray = 0
-    popcount = 0
-    for i in range(1, 1 << n):
-        new_gray = i ^ (i >> 1)
-        bit = new_gray ^ gray
-        col = bit.bit_length() - 1
-        if new_gray & bit:
-            rowsum += a[:, col]
-            popcount += 1
-        else:
-            rowsum -= a[:, col]
-            popcount -= 1
-        gray = new_gray
-        prod = np.prod(rowsum)
-        total += prod if popcount % 2 == 0 else -prod
+    rowsum, total = np.zeros(n, dtype=complex), 0j
+    n_steps = (1 << n) - 1
+    for start in range(0, n_steps, _GRAY_CHUNK):
+        cols, remove = _gray_plan(start // _GRAY_CHUNK)
+        steps = a.T[cols[:n_steps - start]]
+        np.negative(steps, out=steps, where=remove[:len(steps), None])
+        steps[0] += rowsum
+        np.cumsum(steps, axis=0, out=steps)
+        rowsum = steps[-1].copy()
+        prods = np.prod(steps, axis=1)
+        # Row r is step start + r + 1; a step's subset has odd size iff the step is odd.
+        np.negative(prods[::2], out=prods[::2])
+        prods[0] += total
+        total = np.cumsum(prods)[-1]
     return complex(total) if n % 2 == 0 else -complex(total)
+
+
+@functools.lru_cache(maxsize=16)
+def _gray_plan(chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flipped column and remove flag of steps ``chunk * 2^14 + 1 .. (chunk + 1) * 2^14``."""
+    i = np.arange(chunk * _GRAY_CHUNK + 1, (chunk + 1) * _GRAY_CHUNK + 1, dtype=np.int64)
+    cols = (np.frexp((i & -i).astype(float))[1] - 1).astype(np.intp)
+    remove = ((i ^ (i >> 1)) >> cols) & 1 == 0
+    cols.flags.writeable = remove.flags.writeable = False  # shared through the cache
+    return cols, remove
 
 
 def permanent_naive(m: np.ndarray) -> complex:
@@ -165,7 +180,9 @@ def matrix_to_json_obj(m: np.ndarray) -> dict:
 def matrix_from_json_obj(obj: dict) -> np.ndarray:
     n = obj["n"]
     entries = obj["entries"]
-    if not isinstance(n, int) or n < 1 or len(entries) != n * n:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"matrix JSON size n must be a positive integer, got {n!r}")
+    if len(entries) != n * n:
         raise ValueError("matrix JSON is not square")
     flat = np.array([complex(re, im) for re, im in entries])
     if not np.all(np.isfinite(flat)):

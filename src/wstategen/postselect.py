@@ -9,6 +9,7 @@ weight is reported separately.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import NumericalError
@@ -35,12 +36,17 @@ class CoincidencePattern:
 
     @classmethod
     def port_counts(cls, counts: dict[int, int]) -> "CoincidencePattern":
-        for port, count in counts.items():
+        try:
+            required = tuple(sorted((operator.index(p), operator.index(c))
+                                    for p, c in counts.items()))
+        except TypeError:
+            raise ValueError(f"ports and counts must be integers, got {counts!r}") from None
+        for port, count in required:
             if port < 0:
                 raise ValueError(f"port {port} is negative")
             if count < 0:
                 raise ValueError(f"required count {count} for port {port} is negative")
-        return cls(required=tuple(sorted(counts.items())))
+        return cls(required=required)
 
     def validate_for(self, n_ports: int) -> None:
         if self.required is not None:

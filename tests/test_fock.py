@@ -75,6 +75,16 @@ class TestFockState:
         with pytest.raises(ValueError, match="must be integers"):
             FockState.from_counts([((port, H), count)], 2)
 
+    @pytest.mark.parametrize("n_ports", [2.5, 2.0, "2", None])
+    def test_non_integer_n_ports_rejected(self, n_ports):
+        with pytest.raises(ValueError, match="n_ports"):
+            FockState.from_counts([], n_ports)
+
+    def test_numpy_integer_n_ports_accepted(self):
+        s = FockState.from_counts([((1, H), 1)], np.int64(2))
+        assert s == FockState(2, (0, 1), (0, 0))
+        assert type(s.n_ports) is int
+
     def test_numpy_integers_accepted(self):
         s = FockState.from_counts([((np.int64(1), V), np.int32(2))], 2)
         assert s == FockState(2, (0, 0), (0, 2))

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,50 @@ import pytest
 from wstategen import linalg
 
 OMEGA = cmath.exp(2j * math.pi / 3)
+
+
+def _permanent_gray_loop(m):
+    """Reference Ryser permanent: one Python step per Gray-code subset.
+
+    ``linalg.permanent`` must match it bit for bit: both add the same terms
+    in the same order.
+    """
+    a = np.asarray(m, dtype=complex)
+    n = a.shape[0]
+    total = 0.0 + 0.0j
+    rowsum = np.zeros(n, dtype=complex)
+    gray = 0
+    popcount = 0
+    for i in range(1, 1 << n):
+        new_gray = i ^ (i >> 1)
+        bit = new_gray ^ gray
+        col = bit.bit_length() - 1
+        if new_gray & bit:
+            rowsum += a[:, col]
+            popcount += 1
+        else:
+            rowsum -= a[:, col]
+            popcount -= 1
+        gray = new_gray
+        prod = np.prod(rowsum)
+        total += prod if popcount % 2 == 0 else -prod
+    return complex(total) if n % 2 == 0 else -complex(total)
+
+
+def _bits(z):
+    return struct.pack("dd", z.real, z.imag)
+
+
+def _planted_matrix(rng, k):
+    """Random complex k x k matrix with exact zeros, -0.0 parts and integers planted."""
+    m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    pick = rng.random((k, k))
+    m[pick < 0.15] = 0
+    m[(pick >= 0.15) & (pick < 0.3)] = complex(1.0, -0.0)
+    m[(pick >= 0.3) & (pick < 0.4)] = complex(-0.0, -0.0)
+    ints = (pick >= 0.4) & (pick < 0.5)
+    m[ints] = np.round(3 * m[ints].real)
+    return m
 
 
 class TestDftMultiport:
@@ -94,6 +139,47 @@ class TestPermanent:
             ryser = linalg.permanent(m)
             naive = linalg.permanent_naive(m)
             assert abs(ryser - naive) <= 1e-9 * max(1.0, abs(naive))
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_bit_identical_to_gray_loop(self, k):
+        rng = np.random.default_rng(2000 + k)
+        for _ in range(60 if k < 8 else 15):
+            m = _planted_matrix(rng, k)
+            assert _bits(linalg.permanent(m)) == _bits(_permanent_gray_loop(m))
+
+    @pytest.mark.parametrize("k", [15, 16])
+    def test_bit_identical_across_chunks(self, k):
+        m = _planted_matrix(np.random.default_rng(3000 + k), k)
+        assert _bits(linalg.permanent(m)) == _bits(_permanent_gray_loop(m))
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_bit_identical_on_real_matrices(self, k):
+        # The imaginary part of the result is a sum of signed zeros, so its
+        # sign bit shows any change in how the zeros are combined.
+        rng = np.random.default_rng(4000 + k)
+        for _ in range(20):
+            real = np.round(rng.normal(size=(k, k)), 1) * (rng.random((k, k)) < 0.7)
+            imag = np.where(rng.random((k, k)) < 0.5, -0.0, 0.0)
+            m = real + 1j * imag
+            m.imag = imag
+            assert _bits(linalg.permanent(m)) == _bits(_permanent_gray_loop(m))
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_bit_identical_on_signed_zero_and_unit_entries(self, k):
+        # Results often have exactly zero parts here, whose sign depends on
+        # where the running sums start.
+        values = np.array([complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+                           complex(-0.0, -0.0), complex(1.0, -0.0), complex(-0.0, 1.0),
+                           complex(0.0, -1.0), complex(-1.0, 0.0)])
+        rng = np.random.default_rng(5000 + k)
+        for _ in range(300):
+            m = values[rng.integers(0, len(values), size=(k, k))]
+            assert _bits(linalg.permanent(m)) == _bits(_permanent_gray_loop(m))
+
+    def test_diagonal_at_twenty_is_product(self):
+        d = np.random.default_rng(20).uniform(0.5, 1.5, size=20)
+        expected = math.prod(d)
+        assert abs(linalg.permanent(np.diag(d)) - expected) <= 1e-12 * expected
 
     def test_row_multilinear(self):
         rng = np.random.default_rng(7)
@@ -182,6 +268,16 @@ class TestMatrixIO:
         path.write_text(json.dumps({"n": 2, "entries": [[1, 0], [0, 0], [0, 0]]}))
         with pytest.raises(ValueError):
             linalg.read_matrix(path)
+
+    @pytest.mark.parametrize("n", [2.0, True, "2", None, 0])
+    def test_rejects_bad_size_field(self, n):
+        entries = [[1.0, 0.0]] * 4
+        with pytest.raises(ValueError, match="size n"):
+            linalg.matrix_from_json_obj({"n": n, "entries": entries})
+
+    def test_wrong_entry_count_reports_not_square(self):
+        with pytest.raises(ValueError, match="not square"):
+            linalg.matrix_from_json_obj({"n": 2, "entries": [[1.0, 0.0]] * 3})
 
     def test_rejects_non_finite(self, tmp_path):
         path = tmp_path / "bad.json"

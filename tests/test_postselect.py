@@ -62,6 +62,18 @@ class TestPostselect:
         with pytest.raises(ValueError):
             postselect(w_state_path(3), CoincidencePattern.port_counts({5: 1}))
 
+    @pytest.mark.parametrize("counts", [{0: 1.5}, {0: 1.0}, {0.0: 1}, {0: "1"}])
+    def test_non_integer_port_or_count_rejected(self, counts):
+        with pytest.raises(ValueError, match="must be integers"):
+            CoincidencePattern.port_counts(counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        pattern = CoincidencePattern.port_counts({np.int64(1): np.int32(1), 0: 0})
+        assert pattern.required == ((0, 0), (1, 1))
+        assert all(type(x) is int for pair in pattern.required for x in pair)
+        result = postselect(w_state_path(3), pattern)
+        assert abs(result.probability - 1 / 3) <= 1e-12
+
     def test_json_shape(self):
         result = postselect(scheme2_output(), CoincidencePattern.one_per_port())
         obj = result.to_json_obj()
