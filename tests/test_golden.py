@@ -43,14 +43,26 @@ def _cli_text(argv: list[str]) -> str:
     return stream.getvalue()
 
 
-def _evolve_text(fmt: str) -> str:
+def _evolve_text(fmt: str, n: int = 5, input_state: dict = EVOLVE_INPUT) -> str:
     with tempfile.TemporaryDirectory() as tmp:
-        matrix = Path(tmp) / "dft5.json"
+        matrix = Path(tmp) / "dft.json"
         state = Path(tmp) / "input.json"
-        linalg.write_matrix(matrix, linalg.dft_multiport(5))
-        state.write_text(json.dumps(EVOLVE_INPUT))
+        linalg.write_matrix(matrix, linalg.dft_multiport(n))
+        state.write_text(json.dumps(input_state))
         return _cli_text(["evolve", "--matrix", str(matrix), "--input", str(state),
                           "--postselect", "one-per-port", "--format", fmt])
+
+
+def _cli_file_text(argv: list[str], target: list | None = None) -> str:
+    """Text of the file a CLI run writes to ``--out``, given an optional ``--target`` vector."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        if target is not None:
+            target_path = Path(tmp) / "target.json"
+            target_path.write_text(json.dumps(target))
+            argv = argv + ["--target", str(target_path)]
+        _cli_text(argv + ["--out", str(out)])
+        return out.read_text()
 
 
 def _cases() -> dict:
@@ -63,6 +75,12 @@ def _cases() -> dict:
             cases[f"path-w-n{n}-port{port}"] = lambda n=n, p=port: run_path_w(n, p).to_json()
     clone = np.array([math.sqrt(2 / 3), -math.sqrt(1 / 6), -math.sqrt(1 / 6)])
     cases["designed-clone"] = lambda: run_designed_path(clone).to_json()
+    cases["cli-multiport-n5-file"] = lambda: _cli_file_text(["multiport", "--n", "5"])
+    cases["cli-design-clone-file"] = lambda: _cli_file_text(
+        ["design"], [[float(x), 0.0] for x in clone])
+    # Vacuum in, vacuum out: writes both "occ": [] and an empty conditional "terms": [].
+    cases["cli-evolve-dft3-vacuum-json"] = lambda: _evolve_text(
+        "json", 3, {"nPorts": 3, "occ": []})
     for fmt in FORMATS:
         cases[f"cli-polar-w-n4-{fmt}"] = lambda f=fmt: _cli_text(
             ["polar-w", "--n", "4", "--format", f])
