@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import jsontext, linalg
 from .errors import CapacityError, NumericalError
 from .evolve import evolve as evolve_state
 from .fock import FockState, SuperposedState
@@ -48,11 +48,6 @@ def rational_note(x: float) -> str:
     if frac.denominator > 1 and abs(x - float(frac)) <= RATIONAL_TOL:
         return f" (= {frac})"
     return ""
-
-
-def _dump_json(obj: dict, stream) -> None:
-    json.dump(obj, stream, indent=2)
-    stream.write("\n")
 
 
 def _report_rows(report: SchemeReport) -> list[tuple[str, float]]:
@@ -160,10 +155,10 @@ def cmd_evolve(args, stream) -> None:
         result = postselect(out, CoincidencePattern.one_per_port())
 
     if args.format == "json":
-        obj = {"output": out.to_json_obj()}
+        frame = {"output": out.json_frame()}
         if result is not None:
-            obj["postSelection"] = result.to_json_obj()
-        _dump_json(obj, stream)
+            frame["postSelection"] = result.json_frame()
+        stream.write(jsontext.dumps(frame))
     else:
         _print_superposed(out, args.format, stream, "output state")
         if result is not None:

@@ -18,6 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from . import jsontext
 from .errors import NumericalError
 
 # Amplitudes below this are dropped on construction so destructive
@@ -192,13 +193,55 @@ class SuperposedState:
         return all(abs(self.amplitude(s) - other.amplitude(s)) <= tol for s in states)
 
     def to_json_obj(self) -> dict:
-        return {
-            "nPorts": self.n_ports,
-            "terms": [
-                {"state": s.to_json_obj(), "amp": [amp.real, amp.imag]}
-                for s, amp in self._terms.items()
-            ],
-        }
+        return jsontext.expand(self.json_frame())
+
+    def json_frame(self) -> dict:
+        """:meth:`to_json_obj` with the term list as a :class:`jsontext.Template`."""
+        return {"nPorts": self.n_ports,
+                "terms": jsontext.Template(self._terms_chunks, self._terms_tree)}
+
+    def _terms_tree(self) -> list:
+        return [{"state": s.to_json_obj(), "amp": [amp.real, amp.imag]}
+                for s, amp in self._terms.items()]
+
+    def _terms_chunks(self, depth: int) -> list[str]:
+        """Pieces of the indent-2 JSON text of :meth:`_terms_tree` at nesting ``depth``.
+
+        Each piece is a shared constant, a cached port entry or one term's
+        short amplitude text, and :func:`jsontext.dumps` joins them once. A
+        string per term is too large for Python's small-object allocator,
+        and the heap it leaves behind raised the benchmark's peak RSS.
+        """
+        if not self._terms:
+            return ["[]"]
+        i0, i1, i2, i3, i4, i5 = ("\n" + "  " * (depth + k) for k in range(6))
+        state_head = f'{i1}{{{i2}"state": {{{i3}"nPorts": {self.n_ports},{i3}"occ": '
+        occ_close = f"{i3}]"
+        amp_head = f'{i2}}},{i2}"amp": [{i3}'
+        # The occ entries of one port, by (port, H count, V count); few distinct keys.
+        port_text: dict[tuple[int, int, int], str] = {}
+
+        def entry(port: int, pol: str, count: int) -> str:
+            return f'{i4}{{{i5}"port": {port},{i5}"pol": "{pol}",{i5}"count": {count}{i4}}}'
+
+        out = []
+        sep = "["
+        for state, amp in self._terms.items():
+            out += (sep, state_head)
+            occ_sep = "["
+            for port, ch, cv in zip(range(self.n_ports), state.h, state.v):
+                if ch or cv:
+                    key = (port, ch, cv)
+                    if key not in port_text:
+                        port_text[key] = ",".join(
+                            entry(port, pol, c) for pol, c in (("H", ch), ("V", cv)) if c)
+                    out += (occ_sep, port_text[key])
+                    occ_sep = ","
+            out += ("[]" if occ_sep == "[" else occ_close,
+                    f"{amp_head}{amp.real!r},{i3}{amp.imag!r}{i2}]{i1}}}")
+            sep = ","
+        out.append(f"{i0}]")
+        return out
 
     @classmethod
     def from_json_obj(cls, obj: dict, require_normalized: bool = True) -> "SuperposedState":

@@ -17,6 +17,8 @@ from itertools import permutations
 
 import numpy as np
 
+from . import jsontext
+
 UNITARITY_TOL = 1e-10
 
 # 2^k Ryser cost; beyond this the call would silently hang.
@@ -160,21 +162,48 @@ def complete_unitary_from_column(target: np.ndarray) -> np.ndarray:
 
 
 def write_matrix(path: str | os.PathLike, m: np.ndarray) -> None:
-    """Write a square complex matrix as JSON with row-major [re, im] entries."""
+    """Write a square finite complex matrix as JSON with row-major [re, im] entries."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    obj = matrix_to_json_obj(a)
+    text = jsontext.dumps(matrix_json_frame(a))
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
+        f.write(text)
 
 
 def matrix_to_json_obj(m: np.ndarray) -> dict:
+    return jsontext.expand(matrix_json_frame(m))
+
+
+def matrix_json_frame(m: np.ndarray) -> dict:
+    """:func:`matrix_to_json_obj` with the entry list as a :class:`jsontext.Template`."""
     a = np.asarray(m, dtype=complex)
-    n = a.shape[0]
-    entries = [[float(z.real), float(z.imag)] for z in a.ravel()]
-    return {"n": n, "entries": entries}
+
+    def tree() -> list:
+        return [[float(z.real), float(z.imag)] for z in a.ravel()]
+
+    return {"n": a.shape[0],
+            "entries": jsontext.Template(functools.partial(_entries_chunks, a), tree)}
+
+
+def _entries_chunks(a: np.ndarray, depth: int) -> list[str]:
+    """Pieces of the indent-2 JSON text of the entry list of ``a`` at nesting ``depth``.
+
+    Non-finite entries raise ValueError: the encoder would write them as
+    ``NaN`` or ``Infinity``, which is not JSON and which :func:`read_matrix`
+    refuses.
+    """
+    if not a.size:
+        return ["[]"]
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    i0, i1, i2 = ("\n" + "  " * (depth + k) for k in range(3))
+    flat = a.ravel()
+    out = ["["]
+    for re, im in zip(flat.real.tolist(), flat.imag.tolist()):
+        out += (f"{i1}[{i2}{re!r},{i2}{im!r}{i1}]", ",")
+    out[-1] = f"{i0}]"
+    return out
 
 
 def matrix_from_json_obj(obj: dict) -> np.ndarray:

@@ -12,6 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 
+from . import jsontext
 from .errors import NumericalError
 from .fock import NORMALIZATION_TOL, FockState, SuperposedState
 
@@ -74,11 +75,15 @@ class PostSelectionResult:
     dropped_probability: float
 
     def to_json_obj(self) -> dict:
+        return jsontext.expand(self.json_frame())
+
+    def json_frame(self) -> dict:
+        """:meth:`to_json_obj` with the conditional's term list as a template."""
         return {
             "probability": self.probability,
             "droppedProbability": self.dropped_probability,
             "keptTerms": self.kept_terms,
-            "conditional": self.conditional.to_json_obj(),
+            "conditional": self.conditional.json_frame(),
         }
 
 

@@ -6,13 +6,12 @@ a flat JSON object. Identical inputs produce byte-identical reports.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import linalg
+from . import jsontext, linalg
 from .errors import NumericalError
 from .fock import (
     FockState,
@@ -44,13 +43,17 @@ class SchemeReport:
     reference_note: Optional[str] = None
 
     def to_json_obj(self) -> dict:
+        return jsontext.expand(self.json_frame())
+
+    def json_frame(self) -> dict:
+        """:meth:`to_json_obj` with the matrix entries and term lists as templates."""
         obj = {
             "schemeKind": self.scheme_kind,
             "n": self.n,
-            "unitaryUsed": linalg.matrix_to_json_obj(self.unitary_used),
-            "outputState": self.output_state.to_json_obj(),
+            "unitaryUsed": linalg.matrix_json_frame(self.unitary_used),
+            "outputState": self.output_state.json_frame(),
             "postSelection": (
-                self.post_selection.to_json_obj() if self.post_selection else None
+                self.post_selection.json_frame() if self.post_selection else None
             ),
             "fidelityToTarget": self.fidelity_to_target,
             "successProbability": self.success_probability,
@@ -64,7 +67,7 @@ class SchemeReport:
         return obj
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
+        return jsontext.dumps(self.json_frame())
 
 
 def run_path_w(n: int, input_port: int = 0) -> SchemeReport:

@@ -71,6 +71,28 @@ class TestRunPolarizationW:
         for amp in amps:
             assert abs(amp - amps[0]) <= 1e-12
 
+    def test_unpublished_n_values(self):
+        """The DFT couplers at n = 2, 5 and 6, which have no published reference.
+
+        n=6: every one-per-port amplitude cancels, so nothing is kept, the
+        probability and fidelity are 0 and the conditional state is empty.
+        n=5: probability 1/625. n=2: probability 1/2, but the conditional is
+        the antisymmetric (|HV> - |VH>)/sqrt(2), orthogonal to the uniform W.
+        """
+        six = run_polarization_w(6)
+        assert six.success_probability == 0.0
+        assert six.post_selection.kept_terms == 0
+        assert six.fidelity_to_target == 0.0
+        assert len(six.post_selection.conditional) == 0
+
+        assert abs(run_polarization_w(5).success_probability - 1 / 625) <= 1e-12
+
+        two = run_polarization_w(2)
+        assert abs(two.success_probability - 1 / 2) <= 1e-12
+        (_, a), (_, b) = two.post_selection.conditional
+        assert abs(a + b) <= 1e-12 and abs(abs(a) - math.sqrt(0.5)) <= 1e-12
+        assert two.fidelity_to_target < 1e-12
+
     def test_scheme2_input_layout(self):
         state = scheme2_input(4)
         assert state.photons_per_pol() == {H: 3, V: 1}
