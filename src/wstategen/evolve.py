@@ -15,8 +15,8 @@ repeated submatrices with factorial normalization:
 from __future__ import annotations
 
 import math
-from itertools import product as iproduct
-from typing import Iterator
+from itertools import combinations_with_replacement, product as iproduct
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,47 +47,39 @@ def lift_to_modes(u: np.ndarray) -> np.ndarray:
     return lifted
 
 
-def _occupation_vectors(n_ports: int, n_photons: int) -> Iterator[tuple[int, ...]]:
-    """All length-n occupation vectors summing to n_photons, lexicographic order."""
-    if n_ports == 1:
-        yield (n_photons,)
-        return
-    for first in range(n_photons + 1):
-        for rest in _occupation_vectors(n_ports - 1, n_photons - first):
-            yield (first,) + rest
+def _sector_amplitudes(u: np.ndarray, occ_in: tuple[int, ...], outputs: Iterable[Sequence[int]]
+                       ) -> Iterator[tuple[tuple[int, ...], complex]]:
+    """(occ_out, <occ_out|U|occ_in>) for photons of one polarization, per output pattern.
 
-
-def _pattern_count(n_ports: int, n_photons: int) -> int:
-    return math.comb(n_ports + n_photons - 1, n_photons)
-
-
-def _repeat_indices(occ: tuple[int, ...]) -> list[int]:
-    return [p for p, c in enumerate(occ) for _ in range(c)]
-
-
-def _factorial_norm(occ: tuple[int, ...]) -> float:
-    return math.prod(math.factorial(c) for c in occ)
-
-
-def _single_pol_amplitude(u: np.ndarray, occ_in: tuple[int, ...],
-                          occ_out: tuple[int, ...]) -> complex:
-    """<occ_out|U|occ_in> for photons of one polarization on the spatial ports."""
-    if sum(occ_in) == 0:
-        return 1.0 + 0.0j
-    sub = u[np.ix_(_repeat_indices(occ_out), _repeat_indices(occ_in))]
-    return permanent(sub) / math.sqrt(_factorial_norm(occ_in) * _factorial_norm(occ_out))
+    Each pattern in ``outputs`` is the sorted list of its photons' ports,
+    one entry per photon, which is also the row list of its permanent.
+    """
+    n = len(occ_in)
+    cols = u[:, [p for p, c in enumerate(occ_in) for _ in range(c)]]
+    in_norm = math.prod(map(math.factorial, occ_in))
+    for ports in outputs:
+        occ_out = [0] * n
+        for p in ports:
+            occ_out[p] += 1
+        occ_out = tuple(occ_out)
+        if not ports:
+            yield occ_out, 1.0 + 0.0j
+            continue
+        out_norm = math.prod(map(math.factorial, occ_out))
+        yield occ_out, permanent(cols[list(ports)]) / math.sqrt(in_norm * out_norm)
 
 
 def _check_transition_caps(input_state: FockState) -> None:
     k = input_state.total_photons()
     if k > PHOTON_CAP:
         raise CapacityError(f"{k} photons exceeds the cap of {PHOTON_CAP}")
-    for pol_count in input_state.photons_per_pol().values():
-        if _pattern_count(input_state.n_ports, pol_count) > PATTERN_CAP:
-            raise CapacityError(
-                f"{pol_count} photons over {input_state.n_ports} ports "
-                f"exceeds the {PATTERN_CAP} output-pattern cap"
-            )
+    n, k_h, k_v = input_state.n_ports, sum(input_state.h), sum(input_state.v)
+    n_terms = math.comb(n + k_h - 1, k_h) * math.comb(n + k_v - 1, k_v)
+    if n_terms > PATTERN_CAP:
+        raise CapacityError(
+            f"{k_h} H and {k_v} V photons over {n} ports give {n_terms} output terms, "
+            f"over the {PATTERN_CAP} output-term cap"
+        )
 
 
 def _require_compatible(u: np.ndarray, input_state: FockState) -> np.ndarray:
@@ -111,8 +103,12 @@ def transition_amplitude(u: np.ndarray, input_state: FockState,
         )
     if input_state.photons_per_pol() != output_state.photons_per_pol():
         return 0.0 + 0.0j
-    return (_single_pol_amplitude(u, input_state.h, output_state.h)
-            * _single_pol_amplitude(u, input_state.v, output_state.v))
+
+    def sector(occ_in: tuple[int, ...], occ_out: tuple[int, ...]) -> complex:
+        ports = [p for p, c in enumerate(occ_out) for _ in range(c)]
+        return next(_sector_amplitudes(u, occ_in, [ports]))[1]
+
+    return sector(input_state.h, output_state.h) * sector(input_state.v, output_state.v)
 
 
 def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
@@ -129,8 +125,7 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
     n = input_state.n_ports
 
     per_pol = [
-        [(occ_out, _single_pol_amplitude(u, occ_in, occ_out))
-         for occ_out in _occupation_vectors(n, sum(occ_in))]
+        list(_sector_amplitudes(u, occ_in, combinations_with_replacement(range(n), sum(occ_in))))
         for occ_in in (input_state.h, input_state.v)
     ]
 
@@ -159,8 +154,8 @@ def oracle_evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
         )
     lifted = lift_to_modes(u)
     occ_in = input_state.h + input_state.v
-    input_modes = _repeat_indices(occ_in)
-    input_norm = _factorial_norm(occ_in)
+    input_modes = [m for m, c in enumerate(occ_in) for _ in range(c)]
+    input_norm = math.prod(math.factorial(c) for c in occ_in)
 
     collected: dict[tuple[int, ...], complex] = {}
     for choice in iproduct(range(2 * n), repeat=len(input_modes)):
@@ -175,7 +170,7 @@ def oracle_evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
 
     terms = {
         FockState(n, occ[:n], occ[n:]):
-            coeff * math.sqrt(_factorial_norm(occ)) / math.sqrt(input_norm)
+            coeff * math.sqrt(math.prod(math.factorial(c) for c in occ)) / math.sqrt(input_norm)
         for occ, coeff in collected.items()
     }
     return SuperposedState(terms, n)

@@ -38,6 +38,13 @@ class Mode(NamedTuple):
     pol: Polarization
 
 
+def _port_count(n_ports: int) -> int:
+    """``n_ports`` as an ``int``; ``ValueError`` unless it is an integer of at least 1."""
+    if not hasattr(n_ports, "__index__") or n_ports < 1:
+        raise ValueError(f"n_ports must be a positive integer, got {n_ports!r}")
+    return operator.index(n_ports)
+
+
 @dataclass(frozen=True)
 class FockState:
     """Occupation-number state over (port, polarization) modes.
@@ -55,9 +62,7 @@ class FockState:
     def from_counts(cls, counts: Mapping[Mode, int] | Iterable[tuple[Mode, int]],
                     n_ports: int) -> "FockState":
         """State from integer (mode, count) pairs; counts of a repeated mode add up."""
-        if not hasattr(n_ports, "__index__") or n_ports < 1:
-            raise ValueError(f"n_ports must be a positive integer, got {n_ports!r}")
-        n_ports = operator.index(n_ports)
+        n_ports = _port_count(n_ports)
         vecs = {Polarization.H: [0] * n_ports, Polarization.V: [0] * n_ports}
         items = counts.items() if isinstance(counts, Mapping) else counts
         for mode, count in items:
@@ -137,8 +142,7 @@ class SuperposedState:
 
     def __init__(self, terms: Mapping[FockState, complex] | Iterable[tuple[FockState, complex]],
                  n_ports: int, require_normalized: bool = True):
-        if n_ports < 1:
-            raise ValueError(f"n_ports must be positive, got {n_ports}")
+        n_ports = _port_count(n_ports)
         items = terms.items() if isinstance(terms, Mapping) else terms
         kept: dict[FockState, complex] = {}
         for state, amp in items:

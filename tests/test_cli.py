@@ -83,6 +83,13 @@ class TestPolarW:
         code, _ = run_cli("polar-w", "--n", "30")
         assert code == 3
 
+    def test_output_term_cap_exit(self, capsys):
+        # 11 H + 1 V photons over 12 ports: 8,465,184 output terms.
+        code, text = run_cli("polar-w", "--n", "12")
+        assert code == 3
+        assert text == ""
+        assert "8465184 output terms" in capsys.readouterr().err
+
     def test_fidelity_failure_exits_3(self, monkeypatch, capsys):
         def broken_fidelity(state, target):
             raise NumericalError("fidelity 1.5 exceeds 1: a state is not normalized")

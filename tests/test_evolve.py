@@ -1,6 +1,8 @@
 import cmath
+import importlib
 import math
-from itertools import combinations_with_replacement, permutations
+import tracemalloc
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -11,10 +13,14 @@ from wstategen.fock import (
     FockState,
     Mode,
     Polarization,
+    SuperposedState,
     product_input,
     single_photon_state,
 )
-from wstategen.linalg import dft_multiport, verify_unitary
+from wstategen.linalg import dft_multiport, permanent, verify_unitary
+from wstategen.schemes import scheme2_input
+
+evolve_module = importlib.import_module("wstategen.evolve")
 
 H, V = Polarization.H, Polarization.V
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -34,6 +40,59 @@ def all_fock_states(n_ports, max_photons):
             for m in combo:
                 counts[m] = counts.get(m, 0) + 1
             yield FockState.from_counts(counts, n_ports)
+
+
+def _occupation_vectors(n_ports, n_photons):
+    """All length-n occupation vectors summing to n_photons, lexicographic order."""
+    if n_ports == 1:
+        yield (n_photons,)
+        return
+    for first in range(n_photons + 1):
+        for rest in _occupation_vectors(n_ports - 1, n_photons - first):
+            yield (first,) + rest
+
+
+def _single_pol_amplitude(u, occ_in, occ_out):
+    """The per-pattern amplitude ``evolve`` computed before its sector enumerator.
+
+    Kept as a bit-level reference: repeated row and column lists, an
+    ``np.ix_`` submatrix and one factorial norm per pattern.
+    """
+    if sum(occ_in) == 0:
+        return 1.0 + 0.0j
+    rows = [p for p, c in enumerate(occ_out) for _ in range(c)]
+    cols = [p for p, c in enumerate(occ_in) for _ in range(c)]
+    in_norm = math.prod(math.factorial(c) for c in occ_in)
+    out_norm = math.prod(math.factorial(c) for c in occ_out)
+    return permanent(u[np.ix_(rows, cols)]) / math.sqrt(in_norm * out_norm)
+
+
+def _reference_pairs(u, state):
+    """(output state, amplitude) for every H x V pattern pair, zeros included."""
+    n = state.n_ports
+    per_pol = [
+        [(occ, _single_pol_amplitude(u, occ_in, occ))
+         for occ in _occupation_vectors(n, sum(occ_in))]
+        for occ_in in (state.h, state.v)
+    ]
+    return [(FockState(n, occ_h, occ_v), amp_h * amp_v)
+            for (occ_h, amp_h), (occ_v, amp_v) in product(*per_pol)]
+
+
+def _bit_identity_cases():
+    """Seeded couplers and inputs: n = 1..6, 0..5 photons per sector, bunched and vacuum."""
+    rng = np.random.default_rng(2024)
+    sector_counts = [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2), (3, 1), (4, 1),
+                     (5, 0), (0, 5)]
+    for n in range(1, 7):
+        couplers = [random_unitary(n, rng)] + ([dft_multiport(n)] if n >= 2 else [])
+        for u, (k_h, k_v) in product(couplers, sector_counts + [(5, 5)] * (n <= 3)):
+            spread = [(int(p), H) for p in rng.integers(0, n, k_h)]
+            spread += [(int(p), V) for p in rng.integers(0, n, k_v)]
+            port = int(rng.integers(0, n))
+            bunched = [(port, H)] * k_h + [(n - 1 - port, V)] * k_v
+            for photons in (spread, bunched):
+                yield u, product_input(photons, n)
 
 
 class TestLiftToModes:
@@ -77,6 +136,12 @@ class TestTransitionAmplitude:
         state = product_input([(0, H), (1, H), (2, V)], 3)
         a = transition_amplitude(u, state, state)
         assert abs(a - (-1 / (3 * math.sqrt(3)))) <= 1e-12
+
+    def test_bit_identical_to_per_pattern_glue(self):
+        # Every pattern pair, pruned ones included, against the old glue.
+        for u, state in _bit_identity_cases():
+            for out_state, amp in _reference_pairs(u, state):
+                assert transition_amplitude(u, state, out_state) == amp, (state, out_state)
 
     def test_port_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -150,6 +215,45 @@ class TestEvolve:
         too_many = product_input([(0, H)] * 13, 2)
         with pytest.raises(CapacityError):
             evolve(u, too_many)
+
+    def test_bit_identical_to_per_pattern_glue(self):
+        for u, state in _bit_identity_cases():
+            reference = SuperposedState(
+                {s: a for s, a in _reference_pairs(u, state) if a != 0}, state.n_ports)
+            out = evolve(u, state)
+            assert out.terms == reference.terms, state
+            for out_state, amp in out:
+                assert transition_amplitude(u, state, out_state) == amp, (state, out_state)
+
+    def test_output_term_cap_fails_before_any_work(self, monkeypatch):
+        # 6 H + 6 V over 12 ports: 12,376 patterns per sector, 153 M output terms.
+        def no_permanent(m):
+            raise AssertionError("permanent called past the cap check")
+
+        monkeypatch.setattr(evolve_module, "permanent", no_permanent)
+        state = product_input([(p, H if p % 2 else V) for p in range(12)], 12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="153165376 output terms"):
+                evolve(dft_multiport(12), state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("n, capped", [(10, False), (11, True), (12, True)])
+    def test_output_term_cap_on_polarization_scheme(self, monkeypatch, n, capped):
+        # n - 1 H photons and one V: C(2n - 2, n - 1) * n output terms,
+        # 486,200 at n = 10 and 2,032,316 at n = 11.
+        class Reached(Exception):
+            pass
+
+        def stop(m):
+            raise Reached
+
+        monkeypatch.setattr(evolve_module, "permanent", stop)
+        with pytest.raises(CapacityError if capped else Reached):
+            evolve(dft_multiport(n), scheme2_input(n))
 
     def test_non_unitary_rejected(self):
         with pytest.raises(NumericalError, match="not unitary") as info:

@@ -136,6 +136,27 @@ class TestSuperposedState:
         with pytest.raises(ValueError):
             SuperposedState({one: 0.7, two: 0.7}, 2, require_normalized=False)
 
+    @pytest.mark.parametrize("n_ports", [2.5, 2.0, "2"])
+    def test_non_integer_n_ports_rejected(self, n_ports):
+        with pytest.raises(ValueError, match="n_ports"):
+            SuperposedState([], n_ports, require_normalized=False)
+
+    def test_non_integer_n_ports_in_json_rejected(self):
+        with pytest.raises(ValueError, match="n_ports"):
+            SuperposedState.from_json_obj({"nPorts": 2.5, "terms": []},
+                                          require_normalized=False)
+
+    def test_numpy_integer_n_ports_stored_as_int(self):
+        state = SuperposedState({single_photon_state(0, H, 2): 1.0}, np.int64(2))
+        assert type(state.n_ports) is int
+        assert state.to_json_obj()["nPorts"] == 2
+
+    def test_valid_n_ports_accepted_and_zero_rejected(self):
+        state = SuperposedState({single_photon_state(1, V, 3): 1.0}, 3)
+        assert state.n_ports == 3 and len(state) == 1
+        with pytest.raises(ValueError, match="n_ports"):
+            SuperposedState([], 0, require_normalized=False)
+
     def test_json_round_trip(self):
         state = w_state_polarization(3)
         back = SuperposedState.from_json_obj(state.to_json_obj())
