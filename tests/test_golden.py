@@ -36,6 +36,18 @@ EVOLVE_INPUT = {
     ],
 }
 
+# Bunched DFT_4 input: two H photons at port 0, V photons at ports 2 and 3.
+# Its table notes 52 term probabilities and the post-selection probability
+# as exact fractions, and leaves 1/128 (denominator above 64) bare.
+EVOLVE_DFT4_INPUT = {
+    "nPorts": 4,
+    "occ": [
+        {"port": 0, "pol": "H", "count": 2},
+        {"port": 2, "pol": "V", "count": 1},
+        {"port": 3, "pol": "V", "count": 1},
+    ],
+}
+
 
 def _cli_text(argv: list[str]) -> str:
     stream = io.StringIO()
@@ -78,15 +90,19 @@ def _cases() -> dict:
     cases["cli-multiport-n5-file"] = lambda: _cli_file_text(["multiport", "--n", "5"])
     cases["cli-design-clone-file"] = lambda: _cli_file_text(
         ["design"], [[float(x), 0.0] for x in clone])
-    # Vacuum in, vacuum out: writes both "occ": [] and an empty conditional "terms": [].
-    cases["cli-evolve-dft3-vacuum-json"] = lambda: _evolve_text(
-        "json", 3, {"nPorts": 3, "occ": []})
     for fmt in FORMATS:
+        # Vacuum in, vacuum out: writes "occ": [] and an empty conditional "terms": []
+        # in JSON, and the ket |vac;3> in csv and table.
+        cases[f"cli-evolve-dft3-vacuum-{fmt}"] = lambda f=fmt: _evolve_text(
+            f, 3, {"nPorts": 3, "occ": []})
         cases[f"cli-polar-w-n4-{fmt}"] = lambda f=fmt: _cli_text(
             ["polar-w", "--n", "4", "--format", f])
         cases[f"cli-path-w-n6-port2-{fmt}"] = lambda f=fmt: _cli_text(
             ["path-w", "--n", "6", "--input-port", "2", "--format", f])
         cases[f"cli-evolve-dft5-bunched-{fmt}"] = lambda f=fmt: _evolve_text(f)
+    for fmt in ("csv", "table"):
+        cases[f"cli-evolve-dft4-bunched-{fmt}"] = lambda f=fmt: _evolve_text(
+            f, 4, EVOLVE_DFT4_INPUT)
     return cases
 
 
