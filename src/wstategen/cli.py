@@ -20,13 +20,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from . import jsontext, linalg
 from .errors import CapacityError, NumericalError
 from .evolve import evolve as evolve_state
-from .fock import FockState, SuperposedState
+from .fock import FockState, SuperposedState, ket_texts
 from .postselect import CoincidencePattern, postselect
 from .schemes import SchemeReport, run_path_w, run_polarization_w
 
@@ -48,6 +49,34 @@ def rational_note(x: float) -> str:
     if frac.denominator > 1 and abs(x - float(frac)) <= RATIONAL_TOL:
         return f" (= {frac})"
     return ""
+
+
+def rational_notes(values: Sequence[float]) -> list[str]:
+    """``[rational_note(x) for x in values]``, with the exact test only where it can note.
+
+    A numpy screen passes over the denominators q = 2..64 on arrays as long
+    as ``values`` and flags x when ``|x - rint(x*q)/q|`` is at most
+    ``2 * RATIONAL_TOL``. Only flagged values, and values that are not
+    finite or lie outside [-1, 1], go through :func:`rational_note`; every
+    other value gets "".
+
+    The screen misses no note. Distinct fractions with denominators up to
+    64 lie at least 1/(64*63) = 1/4032 apart, so the fraction that
+    :func:`rational_note` finds for an x within 1e-12 of p/q is p/q itself.
+    For x in [-1, 1], ``x*q`` lies within 64e-12 plus round-off of p, so
+    ``rint(x*q)/q`` is the float nearest p/q, the same float as
+    ``float(Fraction(p, q))``, and the screen measures the very difference
+    that :func:`rational_note` compares with ``RATIONAL_TOL``.
+    """
+    x = np.asarray(values, dtype=float)
+    exact = ~(np.abs(x) <= 1.0)
+    x = np.where(exact, 0.0, x)
+    for q in range(2, RATIONAL_MAX_DENOMINATOR + 1):
+        exact |= np.abs(x - np.rint(x * q) / q) <= 2 * RATIONAL_TOL
+    notes = [""] * len(x)
+    for i in np.flatnonzero(exact).tolist():
+        notes[i] = rational_note(values[i])
+    return notes
 
 
 def _report_rows(report: SchemeReport) -> list[tuple[str, float]]:
@@ -92,20 +121,19 @@ def _print_polar_w(report: SchemeReport, fmt: str, stream) -> None:
 
 
 def _print_superposed(state: SuperposedState, fmt: str, stream, heading: str) -> None:
+    terms = state.terms
+    kets = ket_texts(terms)
+    amps = terms.values()
+    probs = [abs(amp) ** 2 for amp in amps]
     if fmt == "csv":
-        stream.write("state,re,im,probability\n")
-        for s, amp in state:
-            stream.write(
-                f"{s},{fmt12(amp.real)},{fmt12(amp.imag)},{fmt12(abs(amp) ** 2)}\n"
-            )
+        lines = ["state,re,im,probability\n"]
+        lines += [f"{ket},{amp.real:.12g},{amp.imag:.12g},{prob:.12g}\n"
+                  for ket, amp, prob in zip(kets, amps, probs)]
     else:
-        stream.write(f"{heading} ({len(state)} terms):\n")
-        for s, amp in state:
-            prob = abs(amp) ** 2
-            stream.write(
-                f"  {s}: amp {fmt12(amp.real)}{amp.imag:+.12g}i"
-                f"  p={fmt12(prob)}{rational_note(prob)}\n"
-            )
+        lines = [f"{heading} ({len(terms)} terms):\n"]
+        lines += [f"  {ket}: amp {amp.real:.12g}{amp.imag:+.12g}i  p={prob:.12g}{note}\n"
+                  for ket, amp, prob, note in zip(kets, amps, probs, rational_notes(probs))]
+    stream.write("".join(lines))
 
 
 def _load_json(path: str, what: str, parse):

@@ -124,11 +124,33 @@ class FockState:
         return cls.from_counts(pairs, obj["nPorts"])
 
     def __str__(self) -> str:
-        occ = self.occ
-        if not occ:
-            return f"|vac;{self.n_ports}>"
-        parts = [f"{m.pol.value}{m.port}" + (f"^{c}" if c > 1 else "") for m, c in occ]
-        return "|" + " ".join(parts) + ">"
+        return ket_texts([self])[0]
+
+
+class _KetPieces(dict):
+    """Ket text of one port, by (port, H count, V count); "" for an empty port."""
+
+    def __missing__(self, key: tuple[int, int, int]) -> str:
+        port, ch, cv = key
+        text = self[key] = " ".join(
+            f"{pol}{port}" + (f"^{c}" if c > 1 else "") for pol, c in (("H", ch), ("V", cv)) if c)
+        return text
+
+
+def ket_texts(states: Iterable[FockState]) -> list[str]:
+    """Text kets of ``states``, e.g. ``|H0^2 V0 V3>``, or ``|vac;n>`` for the vacuum.
+
+    Modes appear by port, H before V, with ``^c`` for a count c > 1. Each
+    ket joins per-port pieces cached by (port, H count, V count), which a
+    list of many states shares, so no ``occ`` view is built.
+    """
+    pieces = _KetPieces()
+    kets = []
+    for state in states:
+        text = " ".join(filter(None, map(pieces.__getitem__,
+                                         zip(range(state.n_ports), state.h, state.v))))
+        kets.append(f"|{text}>" if text else f"|vac;{state.n_ports}>")
+    return kets
 
 
 class SuperposedState:

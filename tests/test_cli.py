@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from wstategen import linalg, schemes
-from wstategen.cli import main
+from wstategen.cli import RATIONAL_TOL, main, rational_note, rational_notes
 from wstategen.errors import NumericalError
+from wstategen.evolve import evolve
 from wstategen.fock import Polarization, product_input
 
 H, V = Polarization.H, Polarization.V
@@ -239,6 +240,80 @@ class TestEvolve:
         code, _ = run_cli("evolve", "--matrix", str(matrix_path),
                           "--input", scheme2_path)
         assert code == 2
+
+
+def _small_fractions() -> np.ndarray:
+    """Every p/q in [0, 1] with q <= 64, as floats."""
+    return np.unique([p / q for q in range(1, 65) for p in range(q + 1)])
+
+
+def _steps(x: np.ndarray, count: int) -> np.ndarray:
+    """``x`` and its ``count`` nearest floats on either side, flattened."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(count):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return np.concatenate(out)
+
+
+def _dft_probabilities(n: int) -> list[float]:
+    """Term probabilities of DFT_n on a one-per-port and on a bunched input."""
+    inputs = [[(p, H) for p in range(n - 1)] + [(n - 1, V)], [(0, H), (0, H), (n - 1, V)]]
+    return [abs(amp) ** 2 for photons in inputs
+            for _, amp in evolve(linalg.dft_multiport(n), product_input(photons, n))]
+
+
+def _assert_notes_match(values) -> None:
+    values = [float(x) for x in values]
+    assert rational_notes(values) == [rational_note(x) for x in values]
+
+
+class TestRationalNotes:
+    def test_direct_notes(self):
+        assert rational_note(1 / 9) == " (= 1/9)"
+        assert rational_note(1 / 65) == ""
+        assert rational_note(0.5 + 5e-13) == " (= 1/2)"
+        assert rational_note(0.5 + 2e-12) == ""
+        assert rational_note(0.0) == rational_note(1.0) == ""
+
+    def test_small_fractions(self):
+        fracs = _small_fractions()
+        assert len(fracs) == 1261  # the Farey sequence of order 64
+        _assert_notes_match(fracs)
+        assert rational_notes([17 / 64, -17 / 64]) == [" (= 17/64)", " (= -17/64)"]
+
+    def test_fractions_shifted_near_the_tolerance(self):
+        fracs = _small_fractions()
+        shifts = np.array([-2, -1, -0.5, 0.5, 1, 2]) * 1e-12
+        _assert_notes_match((fracs[:, None] + shifts).ravel())
+        edges = _steps(np.concatenate([fracs - RATIONAL_TOL, fracs + RATIONAL_TOL]), 4)
+        notes = rational_notes(edges.tolist())
+        # Both sides of the edge occur, so the screen is tested where it decides.
+        assert "" in notes and any(notes)
+        _assert_notes_match(edges)
+
+    def test_edge_values(self):
+        _assert_notes_match([0.0, -0.0, 1.0, 5e-324, -5e-324, 1e-13, 1 + 1e-15, 1 - 1e-15,
+                             -1.0, -0.5, -1 / 3 + 1e-12, -1 / 7 - 3e-12, 1.5, 7 / 3, 1e15 + 0.5,
+                             -65 / 64, 1e300, -1e300, np.finfo(float).max])
+        assert rational_notes([]) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_as_the_exact_note(self, bad):
+        with pytest.raises(Exception) as exact:
+            rational_note(bad)
+        with pytest.raises(exact.type):
+            rational_notes([0.5, bad])
+
+    def test_seeded_random(self):
+        rng = np.random.default_rng(1207)
+        _assert_notes_match(np.concatenate([rng.random(10_000), rng.uniform(-2, 2, 100)]))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_dft_probabilities(self, n):
+        _assert_notes_match(_dft_probabilities(n))
 
 
 class TestArgparseBehaviour:

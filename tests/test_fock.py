@@ -8,6 +8,7 @@ from wstategen.fock import (
     Mode,
     Polarization,
     SuperposedState,
+    ket_texts,
     product_input,
     single_photon_state,
     target_from_coefficients,
@@ -116,6 +117,43 @@ class TestFockState:
             "nPorts": 2,
             "occ": [{"port": 1, "pol": "V", "count": 1}],
         }
+
+
+def _reference_ket(state: FockState) -> str:
+    """The ket as ``FockState.__str__`` built it from the ``occ`` view, before ``ket_texts``."""
+    occ = state.occ
+    if not occ:
+        return f"|vac;{state.n_ports}>"
+    parts = [f"{m.pol.value}{m.port}" + (f"^{c}" if c > 1 else "") for m, c in occ]
+    return "|" + " ".join(parts) + ">"
+
+
+def _seeded_states(n_ports: int, seed: int) -> list[FockState]:
+    """The vacuum and random states with counts up to 5, sparse to full."""
+    rng = np.random.default_rng(seed)
+    states = [FockState(n_ports, (0,) * n_ports, (0,) * n_ports)]
+    for density in (0.1, 0.5, 1.0):
+        for _ in range(60):
+            h, v = (tuple(np.where(rng.random(n_ports) < density,
+                                   rng.integers(1, 6, n_ports), 0).tolist()) for _ in "hv")
+            states.append(FockState(n_ports, h, v))
+    return states
+
+
+class TestKetTexts:
+    def test_examples(self):
+        both = FockState.from_counts({Mode(0, H): 2, Mode(0, V): 1, Mode(2, V): 5}, 3)
+        assert ket_texts([both, FockState.from_counts([], 3)]) == ["|H0^2 V0 V2^5>", "|vac;3>"]
+        assert ket_texts([]) == []
+
+    @pytest.mark.parametrize("n_ports", [1, 2, 7, 64])
+    def test_matches_occ_reference(self, n_ports):
+        states = _seeded_states(n_ports, 1300 + n_ports)
+        assert any(c == 5 for s in states for c in s.h + s.v)
+        assert any(ch and cv for s in states for ch, cv in zip(s.h, s.v))
+        expected = [_reference_ket(s) for s in states]
+        assert ket_texts(states) == expected
+        assert [str(s) for s in states] == expected
 
 
 class TestSuperposedState:
