@@ -129,12 +129,8 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
         for occ_in in (input_state.h, input_state.v)
     ]
 
-    terms: dict[FockState, complex] = {}
-    for (occ_h, amp_h), (occ_v, amp_v) in iproduct(*per_pol):
-        amp = amp_h * amp_v
-        if amp != 0:
-            terms[FockState(n, occ_h, occ_v)] = amp
-    return SuperposedState(terms, n)
+    return SuperposedState(((FockState(n, occ_h, occ_v), amp_h * amp_v)
+                            for (occ_h, amp_h), (occ_v, amp_v) in iproduct(*per_pol)), n)
 
 
 def oracle_evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:

@@ -1,21 +1,22 @@
 """Bosonic mode labels, Fock occupation states, and sparse superpositions.
 
-A mode is a (spatial port, polarization) pair. A :class:`FockState` holds
-two per-port occupation vectors, one for H photons and one for V photons,
-which is the form the evolution engine, term ordering and post-selection
-all work in. The sorted (mode, count) view ``FockState.occ`` is derived
-from them for the JSON and text forms. A :class:`SuperposedState` is a
-finite map from Fock states to complex amplitudes.
+A mode is a (spatial port, polarization) pair. A :class:`FockState` is the
+named tuple ``(n_ports, h, v)`` of a port count and two per-port occupation
+vectors, one for H photons and one for V photons, which is the form the
+evolution engine, term ordering and post-selection all work in. The sorted
+(mode, count) view ``FockState.occ`` is derived from them for the JSON and
+text forms. A :class:`SuperposedState` is a finite map from Fock states to
+complex amplitudes, kept in tuple order of its states.
 
 All types are immutable values: equal occupations compare equal and hash
 identically, and everything is safe to share across threads.
 """
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import jsontext
@@ -38,20 +39,31 @@ class Mode(NamedTuple):
     pol: Polarization
 
 
+def _integer(value) -> int:
+    """``operator.index(value)``, except that a ``bool`` (a JSON ``true``) raises ``TypeError``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
+
+
 def _port_count(n_ports: int) -> int:
     """``n_ports`` as an ``int``; ``ValueError`` unless it is an integer of at least 1."""
-    if not hasattr(n_ports, "__index__") or n_ports < 1:
+    if isinstance(n_ports, bool) or not hasattr(n_ports, "__index__") or n_ports < 1:
         raise ValueError(f"n_ports must be a positive integer, got {n_ports!r}")
     return operator.index(n_ports)
 
 
-@dataclass(frozen=True)
-class FockState:
+class FockState(NamedTuple):
     """Occupation-number state over (port, polarization) modes.
 
     ``h`` and ``v`` are length-``n_ports`` tuples of per-port photon
     counts for the H and V polarizations. The raw constructor trusts its
     arguments; :meth:`from_counts` validates (mode, count) input.
+
+    A state is the immutable tuple ``(n_ports, h, v)``: it equals and
+    hashes as that plain tuple, has length 3, iterates over its three
+    fields and orders as tuples do, which for one port count is
+    lexicographic in ``h`` and then ``v``.
     """
 
     n_ports: int
@@ -67,8 +79,8 @@ class FockState:
         items = counts.items() if isinstance(counts, Mapping) else counts
         for mode, count in items:
             try:
-                mode = Mode(operator.index(mode[0]), Polarization(mode[1]))
-                count = operator.index(count)
+                mode = Mode(_integer(mode[0]), Polarization(mode[1]))
+                count = _integer(count)
             except TypeError:
                 raise ValueError(
                     f"port and count must be integers, got {mode!r} with count {count!r}"
@@ -107,10 +119,6 @@ class FockState:
     def spatial_counts(self) -> tuple[int, ...]:
         """Per-port counts summed over polarization (what a non-resolving detector sees)."""
         return tuple(map(operator.add, self.h, self.v))
-
-    def sort_key(self) -> tuple:
-        """Deterministic ordering key: lexicographic occupation vectors, H sector major."""
-        return (self.h, self.v)
 
     def to_json_obj(self) -> dict:
         return {
@@ -169,26 +177,21 @@ class SuperposedState:
         kept: dict[FockState, complex] = {}
         for state, amp in items:
             amp = complex(amp)
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+            if not cmath.isfinite(amp):
                 raise ValueError(f"non-finite amplitude for {state}")
             if abs(amp) < AMPLITUDE_PRUNE_TOL:
                 continue
             if state.n_ports != n_ports:
                 raise ValueError(f"term {state} has {state.n_ports} ports, expected {n_ports}")
             kept[state] = kept.get(state, 0.0) + amp
-        pol_totals = None
-        for state in kept:
-            totals = state.photons_per_pol()
-            if pol_totals is None:
-                pol_totals = totals
-            elif totals != pol_totals:
-                raise ValueError("terms differ in photon count per polarization")
+        if len({(sum(s.h), sum(s.v)) for s in kept}) > 1:
+            raise ValueError("terms differ in photon count per polarization")
         if require_normalized:
             norm_sq = sum(abs(a) ** 2 for a in kept.values())
             if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
                 raise NumericalError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
         self.n_ports = n_ports
-        self._terms = dict(sorted(kept.items(), key=lambda sa: sa[0].sort_key()))
+        self._terms = dict(sorted(kept.items()))
 
     @property
     def terms(self) -> dict[FockState, complex]:

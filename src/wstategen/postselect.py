@@ -58,7 +58,7 @@ class CoincidencePattern:
     def matches(self, state: FockState) -> bool:
         spatial = state.spatial_counts()
         if self.required is None:
-            return all(c == 1 for c in spatial)
+            return spatial == (1,) * state.n_ports
         return all(spatial[port] == count for port, count in self.required)
 
     def describe(self) -> str:

@@ -234,6 +234,15 @@ class TestEvolve:
         assert code == 2
         assert "cannot read input state" in capsys.readouterr().err
 
+    def test_boolean_count_exits_2(self, tritter_path, tmp_path, capsys):
+        input_path = tmp_path / "input.json"
+        input_path.write_text(json.dumps(
+            {"nPorts": 3, "occ": [{"port": 0, "pol": "H", "count": True}]}))
+        code, _ = run_cli("evolve", "--matrix", tritter_path,
+                          "--input", str(input_path))
+        assert code == 2
+        assert "cannot read input state" in capsys.readouterr().err
+
     def test_unparsable_matrix(self, tmp_path, scheme2_path):
         matrix_path = tmp_path / "garbage.json"
         matrix_path.write_text("not json")

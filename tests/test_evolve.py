@@ -203,6 +203,12 @@ class TestEvolve:
         for s, _ in out:
             assert s.photons_per_pol() == {H: 2, V: 2}
 
+    def test_hong_ou_mandel_has_no_split_term(self):
+        pair = product_input([(0, H), (1, H)], 2)
+        out = evolve(dft_multiport(2), pair)
+        assert pair not in out.terms
+        assert [s for s, _ in out] == [FockState(2, (0, 2), (0, 0)), FockState(2, (2, 0), (0, 0))]
+
     def test_exchange_symmetry(self):
         u = dft_multiport(3)
         photons = [(0, H), (1, H), (2, V)]

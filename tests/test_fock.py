@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wstategen.errors import NumericalError
 from wstategen.fock import (
     FockState,
     Mode,
@@ -71,15 +72,22 @@ class TestFockState:
         assert s == FockState(2, (2, 0), (0, 0))
         assert str(s) == "|H0^2>"
 
-    @pytest.mark.parametrize("port, count", [(0, 1.5), (0.0, 1), (0, "1")])
+    @pytest.mark.parametrize("port, count", [(0, 1.5), (0.0, 1), (0, "1"), (True, 1), (0, True)])
     def test_non_integer_port_or_count_rejected(self, port, count):
         with pytest.raises(ValueError, match="must be integers"):
             FockState.from_counts([((port, H), count)], 2)
 
-    @pytest.mark.parametrize("n_ports", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("n_ports", [2.5, 2.0, "2", None, True])
     def test_non_integer_n_ports_rejected(self, n_ports):
         with pytest.raises(ValueError, match="n_ports"):
             FockState.from_counts([], n_ports)
+
+    def test_json_booleans_rejected(self):
+        obj = {"nPorts": True, "occ": [{"port": False, "pol": "H", "count": True}]}
+        with pytest.raises(ValueError, match="n_ports"):
+            FockState.from_json_obj(obj)
+        with pytest.raises(ValueError, match="must be integers"):
+            FockState.from_json_obj({**obj, "nPorts": 1})
 
     def test_numpy_integer_n_ports_accepted(self):
         s = FockState.from_counts([((1, H), 1)], np.int64(2))
@@ -154,6 +162,133 @@ class TestKetTexts:
         expected = [_reference_ket(s) for s in states]
         assert ket_texts(states) == expected
         assert [str(s) for s in states] == expected
+
+
+class TestFockStateValue:
+    """A state is the immutable tuple ``(n_ports, h, v)``."""
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for s in _seeded_states(5, 1500):
+            assert hash(s) == hash((s.n_ports, s.h, s.v))
+
+    def test_equals_the_plain_tuple(self):
+        s = FockState(2, (1, 0), (0, 1))
+        assert s == (2, (1, 0), (0, 1))
+        assert tuple(s) == (s.n_ports, s.h, s.v) and len(s) == 3
+
+    @pytest.mark.parametrize("field", ["n_ports", "h", "v", "other"])
+    def test_attribute_assignment_raises(self, field):
+        s = FockState(2, (1, 0), (0, 1))
+        with pytest.raises(AttributeError):
+            setattr(s, field, (0, 0))
+
+    def test_repr(self):
+        assert repr(FockState(2, (1, 0), (0, 1))) == "FockState(n_ports=2, h=(1, 0), v=(0, 1))"
+
+    @pytest.mark.parametrize("n_ports", [1, 3, 8])
+    def test_order_is_h_then_v(self, n_ports):
+        states = _seeded_states(n_ports, 1600 + n_ports)
+        np.random.default_rng(n_ports).shuffle(states)
+        assert sorted(states) == sorted(states, key=lambda s: (s.h, s.v))
+
+    def test_from_counts_is_a_classmethod_on_the_class(self):
+        # Tracing wraps it in place through the class dictionary.
+        assert isinstance(FockState.__dict__["from_counts"], classmethod)
+
+
+def _mixed_terms(seed: int) -> list[tuple[FockState, complex]]:
+    """Normalized shuffled terms over 3 ports with 2 H and 1 V photons.
+
+    Two states appear twice (their amplitudes add), and four more carry an
+    exact zero or an amplitude below the prune tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    states = [FockState(3, h, v) for h in [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0),
+                                           (0, 1, 1), (0, 0, 2)]
+              for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    rng.shuffle(states)
+    amps = rng.normal(size=14) + 1j * rng.normal(size=14)
+    amps /= np.linalg.norm(amps)
+    terms = [(s, complex(a)) for s, a in zip(states, amps)]
+    for i, part in ((0, 0.25), (5, -0.5j)):
+        state, amp = terms[i]
+        terms[i] = (state, (1 - part) * amp)
+        terms.append((state, part * amp))
+    terms += [(states[14], 0j), (states[15], 0.0), (states[16], 3e-13), (states[17], -7e-13j)]
+    rng.shuffle(terms)
+    return terms
+
+
+def _as_dict(terms) -> dict:
+    out = {}
+    for s, a in terms:
+        out[s] = out.get(s, 0.0) + a
+    return out
+
+
+def _forms(terms):
+    return {"generator": lambda: (t for t in terms), "list": lambda: list(terms),
+            "dict": lambda: _as_dict(terms)}
+
+
+class TestSuperposedInputForms:
+    @pytest.mark.parametrize("seed", [1700, 1701, 1702])
+    def test_forms_agree_and_duplicates_add(self, seed):
+        terms = _mixed_terms(seed)
+        built = {name: SuperposedState(make(), 3) for name, make in _forms(terms).items()}
+        expected = {s: a for s, a in _as_dict(terms).items() if abs(a) >= 1e-12}
+        order = sorted(expected, key=lambda s: (s.h, s.v))
+        assert len(expected) == 14
+        for state in built.values():
+            assert state.terms == expected
+            assert [s for s, _ in state] == order
+        duplicated = [s for s in expected if sum(t == s for t, _ in terms) == 2]
+        assert len(duplicated) == 2
+
+    @pytest.mark.parametrize("seed", [1700, 1701])
+    def test_forms_raise_the_same_errors(self, seed):
+        for name, bad, message in _faulty_terms(_mixed_terms(seed)):
+            for form, make in _forms(bad).items():
+                with pytest.raises(ValueError) as info:
+                    SuperposedState(make(), 3, require_normalized=False)
+                assert type(info.value) is ValueError, (name, form)
+                assert str(info.value) == message, (name, form)
+
+    def test_forms_report_the_same_norm(self):
+        terms = [(single_photon_state(p, H, 4), 0.5) for p in (3, 1, 2)]
+        terms.append((terms[0][0], 0.25))
+        for form, make in _forms(terms).items():
+            with pytest.raises(NumericalError) as info:
+                SuperposedState(make(), 4)
+            assert str(info.value) == "state is not normalized: sum |amp|^2 = 1.0625", form
+        scaled = [(s, 0.5 * a) for s, a in _mixed_terms(1700)]
+        messages = set()
+        for form, make in _forms(scaled).items():
+            with pytest.raises(NumericalError, match="not normalized") as info:
+                SuperposedState(make(), 3)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+
+def _faulty_terms(terms):
+    """(name, ``terms`` with one fault, message) for each fault ``SuperposedState`` rejects.
+
+    Each fault sits on the largest term, so pruning never hides it.
+    """
+    i = max(range(len(terms)), key=lambda k: abs(terms[k][1]))
+    state, amp = terms[i]
+    wide = FockState(4, state.h + (0,), state.v + (0,))
+
+    def swap(term):
+        return terms[:i] + [term] + terms[i + 1:]
+
+    return [
+        ("ports", swap((wide, amp)), f"term {wide} has 4 ports, expected 3"),
+        ("totals", terms + [(FockState(3, (1, 1, 1), (0, 0, 0)), 1e-6)],
+         "terms differ in photon count per polarization"),
+        ("nan", swap((state, complex(math.nan, 0.0))), f"non-finite amplitude for {state}"),
+        ("inf", swap((state, complex(0.0, -math.inf))), f"non-finite amplitude for {state}"),
+    ]
 
 
 class TestSuperposedState:
