@@ -163,8 +163,8 @@ def cmd_design(args, stream) -> None:
                         lambda raw: np.array([complex(re, im) for re, im in raw]))
     u = linalg.complete_unitary_from_column(target)
 
-    column_ok = bool(np.max(np.abs(u[:, 0] - target)) <= 1e-10)
-    unitary_ok = linalg.verify_unitary(u, 1e-10)
+    column_ok = bool(np.max(np.abs(u[:, 0] - target)) <= linalg.UNITARITY_TOL)
+    unitary_ok = linalg.verify_unitary(u)
     stream.write(f"column match: {'PASS' if column_ok else 'FAIL'}\n")
     stream.write(f"unitarity: {'PASS' if unitary_ok else 'FAIL'}\n")
     if not (column_ok and unitary_ok):

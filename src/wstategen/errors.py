@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types and input rules shared across the package.
 
 Invalid arguments raise the stdlib ``ValueError``; only failure modes that
-callers need to tell apart get their own class.
+callers need to tell apart get their own class. A port, count or size is
+checked by :func:`integer` or :func:`size` at the public call that takes it.
 """
+import operator
 
 
 class CapacityError(Exception):
@@ -20,3 +22,29 @@ class NumericalError(ValueError, ArithmeticError):
     fidelity above 1. Both bases are kept so callers that catch
     ``ValueError`` or ``ArithmeticError`` still see it.
     """
+
+
+def _index(value) -> int | None:
+    """``operator.index(value)``, or None for a ``bool`` (a JSON ``true``) or a non-integer."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an ``int``; numpy integers pass, and a float, string, bool or None raises."""
+    i = _index(value)
+    if i is None:
+        raise ValueError(f"{what} must be integers, got {value!r}")
+    return i
+
+
+def size(value, what: str, minimum: int) -> int:
+    """``value`` as an ``int`` of at least ``minimum``, by the rule of :func:`integer`."""
+    i = _index(value)
+    if i is None or i < minimum:
+        raise ValueError(f"{what} must be an integer of at least {minimum}, got {value!r}")
+    return i

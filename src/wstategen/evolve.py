@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericalError
 from .fock import FockState, SuperposedState
-from .linalg import permanent, verify_unitary
+from .linalg import UNITARITY_TOL, permanent, square, verify_unitary
 
 # Exact-enumeration limits; see CapacityError.
 PHOTON_CAP = 12
@@ -83,9 +83,7 @@ def _check_transition_caps(input_state: FockState) -> None:
 
 
 def _require_compatible(u: np.ndarray, input_state: FockState) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    u = square(u)
     if u.shape[0] != input_state.n_ports:
         raise ValueError(
             f"matrix is {u.shape[0]}x{u.shape[0]} but state has {input_state.n_ports} ports"
@@ -120,7 +118,7 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
     """
     u = _require_compatible(u, input_state)
     if not verify_unitary(u):
-        raise NumericalError("matrix not unitary within 1e-10")
+        raise NumericalError(f"matrix not unitary within {UNITARITY_TOL}")
     _check_transition_caps(input_state)
     n = input_state.n_ports
 

@@ -19,8 +19,8 @@ import math
 import operator
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from . import jsontext
-from .errors import NumericalError
+from . import jsontext, linalg
+from .errors import NumericalError, integer, size
 
 # Amplitudes below this are dropped on construction so destructive
 # interference leaves canonical term maps.
@@ -37,20 +37,6 @@ class Polarization(str, enum.Enum):
 class Mode(NamedTuple):
     port: int
     pol: Polarization
-
-
-def _integer(value) -> int:
-    """``operator.index(value)``, except that a ``bool`` (a JSON ``true``) raises ``TypeError``."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not an integer")
-    return operator.index(value)
-
-
-def _port_count(n_ports: int) -> int:
-    """``n_ports`` as an ``int``; ``ValueError`` unless it is an integer of at least 1."""
-    if isinstance(n_ports, bool) or not hasattr(n_ports, "__index__") or n_ports < 1:
-        raise ValueError(f"n_ports must be a positive integer, got {n_ports!r}")
-    return operator.index(n_ports)
 
 
 class FockState(NamedTuple):
@@ -74,17 +60,12 @@ class FockState(NamedTuple):
     def from_counts(cls, counts: Mapping[Mode, int] | Iterable[tuple[Mode, int]],
                     n_ports: int) -> "FockState":
         """State from integer (mode, count) pairs; counts of a repeated mode add up."""
-        n_ports = _port_count(n_ports)
+        n_ports = size(n_ports, "n_ports", 1)
         vecs = {Polarization.H: [0] * n_ports, Polarization.V: [0] * n_ports}
         items = counts.items() if isinstance(counts, Mapping) else counts
         for mode, count in items:
-            try:
-                mode = Mode(_integer(mode[0]), Polarization(mode[1]))
-                count = _integer(count)
-            except TypeError:
-                raise ValueError(
-                    f"port and count must be integers, got {mode!r} with count {count!r}"
-                ) from None
+            mode = Mode(integer(mode[0], "ports"), Polarization(mode[1]))
+            count = integer(count, "counts")
             if count < 0:
                 raise ValueError(f"negative photon count {count} for mode {mode}")
             if not 0 <= mode.port < n_ports:
@@ -118,7 +99,8 @@ class FockState(NamedTuple):
 
     def spatial_counts(self) -> tuple[int, ...]:
         """Per-port counts summed over polarization (what a non-resolving detector sees)."""
-        return tuple(map(operator.add, self.h, self.v))
+        _, h, v = self
+        return tuple(map(operator.add, h, v))
 
     def to_json_obj(self) -> dict:
         return {
@@ -154,10 +136,9 @@ def ket_texts(states: Iterable[FockState]) -> list[str]:
     """
     pieces = _KetPieces()
     kets = []
-    for state in states:
-        text = " ".join(filter(None, map(pieces.__getitem__,
-                                         zip(range(state.n_ports), state.h, state.v))))
-        kets.append(f"|{text}>" if text else f"|vac;{state.n_ports}>")
+    for n_ports, h, v in states:
+        text = " ".join(filter(None, map(pieces.__getitem__, zip(range(n_ports), h, v))))
+        kets.append(f"|{text}>" if text else f"|vac;{n_ports}>")
     return kets
 
 
@@ -172,7 +153,7 @@ class SuperposedState:
 
     def __init__(self, terms: Mapping[FockState, complex] | Iterable[tuple[FockState, complex]],
                  n_ports: int, require_normalized: bool = True):
-        n_ports = _port_count(n_ports)
+        n_ports = size(n_ports, "n_ports", 1)
         items = terms.items() if isinstance(terms, Mapping) else terms
         kept: dict[FockState, complex] = {}
         for state, amp in items:
@@ -184,7 +165,7 @@ class SuperposedState:
             if state.n_ports != n_ports:
                 raise ValueError(f"term {state} has {state.n_ports} ports, expected {n_ports}")
             kept[state] = kept.get(state, 0.0) + amp
-        if len({(sum(s.h), sum(s.v)) for s in kept}) > 1:
+        if len({(sum(h), sum(v)) for _, h, v in kept}) > 1:
             raise ValueError("terms differ in photon count per polarization")
         if require_normalized:
             norm_sq = sum(abs(a) ** 2 for a in kept.values())
@@ -255,10 +236,10 @@ class SuperposedState:
 
         out = []
         sep = "["
-        for state, amp in self._terms.items():
+        for (_, h, v), amp in self._terms.items():
             out += (sep, state_head)
             occ_sep = "["
-            for port, ch, cv in zip(range(self.n_ports), state.h, state.v):
+            for port, ch, cv in zip(range(self.n_ports), h, v):
                 if ch or cv:
                     key = (port, ch, cv)
                     if key not in port_text:
@@ -297,15 +278,13 @@ def product_input(photons: Sequence[tuple[int, Polarization]], n_ports: int) -> 
 
 def w_state_path(n: int) -> SuperposedState:
     """Single-photon path W state: one H photon spread uniformly over n ports."""
-    if n < 2:
-        raise ValueError(f"need at least 2 ports, got {n}")
+    n = size(n, "port count", 2)
     return target_from_coefficients([1.0 / math.sqrt(n)] * n, "path")
 
 
 def w_state_polarization(n: int) -> SuperposedState:
     """n-photon polarization W state: one photon per port, the single V shared uniformly."""
-    if n < 2:
-        raise ValueError(f"need at least 2 ports, got {n}")
+    n = size(n, "port count", 2)
     return target_from_coefficients([1.0 / math.sqrt(n)] * n, "polarization")
 
 
@@ -316,8 +295,6 @@ def target_from_coefficients(coeffs: Sequence[complex], kind: str) -> Superposed
     for ``kind="path"``, the V polarization for ``kind="polarization"``) at
     port n-1-k: the first coefficient goes with the |00...1>-like term.
     """
-    from . import linalg  # local import to avoid a cycle at module load
-
     c = linalg.check_normalized_column(coeffs)
     n = c.size
     if kind not in ("path", "polarization"):

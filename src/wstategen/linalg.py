@@ -18,6 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from . import jsontext
+from .errors import size
 
 UNITARITY_TOL = 1e-10
 
@@ -34,8 +35,7 @@ def dft_multiport(n: int) -> np.ndarray:
     For n=3 this is the standard tritter matrix; n=2 gives the balanced
     beam splitter. The result is symmetric and unitary.
     """
-    if n < 2:
-        raise ValueError(f"port count must be >= 2, got {n}")
+    n = size(n, "port count", 2)
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return np.exp(2j * np.pi * j * k / n) / math.sqrt(n)
 
@@ -52,11 +52,17 @@ def canonical_quarter() -> np.ndarray:
     return np.kron(h2, h2).astype(complex)
 
 
+def square(m: np.ndarray) -> np.ndarray:
+    """``m`` as a complex128 array; ValueError unless it is a square matrix."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix is not square: shape {a.shape}")
+    return a
+
+
 def verify_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
     """True iff the max-norm of (M†M - I) is at most ``tol``."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = square(m)
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     n = m.shape[0]
@@ -70,10 +76,10 @@ def permanent(m: np.ndarray) -> complex:
     ``PERMANENT_SIZE_CAP``. The steps run in numpy chunks that add up in the
     sequential Gray-code order, so results are bit-identical to a step loop.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
+    a = square(m)
     n = a.shape[0]
+    if n == 0:
+        raise ValueError("the permanent needs a non-empty matrix")
     if n > PERMANENT_SIZE_CAP:
         raise ValueError(f"matrix size {n} exceeds permanent cap {PERMANENT_SIZE_CAP}")
     if n == 1:
@@ -109,23 +115,23 @@ def _gray_plan(chunk: int) -> tuple[np.ndarray, np.ndarray]:
 
 def permanent_naive(m: np.ndarray) -> complex:
     """O(k!) permutation-sum permanent, kept as an independent test oracle."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
+    a = square(m)
     n = a.shape[0]
+    if n == 0:
+        raise ValueError("the permanent needs a non-empty matrix")
     rows = np.arange(n)
     return complex(sum(np.prod(a[rows, list(perm)]) for perm in permutations(range(n))))
 
 
-def check_normalized_column(target: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
-    """Validate a complex column vector: finite entries, unit norm within ``tol``."""
+def check_normalized_column(target: np.ndarray) -> np.ndarray:
+    """Validate a complex column vector: finite entries, unit norm within ``UNITARITY_TOL``."""
     c = np.asarray(target, dtype=complex).ravel()
     if c.size < 2:
         raise ValueError(f"target column must have length >= 2, got {c.size}")
     if not np.all(np.isfinite(c)):
         raise ValueError("target column contains non-finite entries")
     norm_sq = float(np.sum(np.abs(c) ** 2))
-    if abs(norm_sq - 1.0) > tol:
+    if abs(norm_sq - 1.0) > UNITARITY_TOL:
         raise ValueError(f"target column is not normalized: sum |c|^2 = {norm_sq!r}")
     return c
 
@@ -163,10 +169,7 @@ def complete_unitary_from_column(target: np.ndarray) -> np.ndarray:
 
 def write_matrix(path: str | os.PathLike, m: np.ndarray) -> None:
     """Write a square finite complex matrix as JSON with row-major [re, im] entries."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    text = jsontext.dumps(matrix_json_frame(a))
+    text = jsontext.dumps(matrix_json_frame(square(m)))
     with open(path, "w") as f:
         f.write(text)
 
@@ -207,10 +210,8 @@ def _entries_chunks(a: np.ndarray, depth: int) -> list[str]:
 
 
 def matrix_from_json_obj(obj: dict) -> np.ndarray:
-    n = obj["n"]
+    n = size(obj["n"], "matrix JSON size n", 1)
     entries = obj["entries"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"matrix JSON size n must be a positive integer, got {n!r}")
     if len(entries) != n * n:
         raise ValueError("matrix JSON is not square")
     flat = np.array([complex(re, im) for re, im in entries])

@@ -9,11 +9,10 @@ weight is reported separately.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from . import jsontext
-from .errors import NumericalError
+from .errors import NumericalError, integer
 from .fock import NORMALIZATION_TOL, FockState, SuperposedState
 
 # Below this a kept weight is treated as exact destructive interference,
@@ -37,11 +36,8 @@ class CoincidencePattern:
 
     @classmethod
     def port_counts(cls, counts: dict[int, int]) -> "CoincidencePattern":
-        try:
-            required = tuple(sorted((operator.index(p), operator.index(c))
-                                    for p, c in counts.items()))
-        except TypeError:
-            raise ValueError(f"ports and counts must be integers, got {counts!r}") from None
+        required = tuple(sorted((integer(p, "ports"), integer(c, "counts"))
+                                for p, c in counts.items()))
         for port, count in required:
             if port < 0:
                 raise ValueError(f"port {port} is negative")
@@ -60,11 +56,6 @@ class CoincidencePattern:
         if self.required is None:
             return spatial == (1,) * state.n_ports
         return all(spatial[port] == count for port, count in self.required)
-
-    def describe(self) -> str:
-        if self.required is None:
-            return "one-per-port"
-        return ",".join(f"{p}:{c}" for p, c in self.required)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import jsontext, linalg
-from .errors import NumericalError
+from .errors import NumericalError, integer, size
 from .fock import (
     FockState,
     Polarization,
@@ -27,6 +27,13 @@ from .evolve import evolve
 from .postselect import CoincidencePattern, PostSelectionResult, fidelity, postselect
 
 PUBLISHED_PROBABILITIES = {3: "1/9", 4: "1/16"}
+
+
+def _single_photon_output(u: np.ndarray, port: int) -> tuple[SuperposedState, list[complex]]:
+    """Output of one H photon entering ``port`` of ``u``, and its amplitude at each port."""
+    n = u.shape[0]
+    out = evolve(u, single_photon_state(port, Polarization.H, n))
+    return out, [out.amplitude(single_photon_state(p, Polarization.H, n)) for p in range(n)]
 
 
 @dataclass(frozen=True)
@@ -79,16 +86,13 @@ def run_path_w(n: int, input_port: int = 0) -> SchemeReport:
     check: for input ports other than 0 the DFT column has nonuniform
     phases, so |amp|^2 is uniform while the raw fidelity is not 1.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 ports, got {n}")
+    n = size(n, "port count", 2)
+    input_port = integer(input_port, "ports")
     if not 0 <= input_port < n:
         raise ValueError(f"input port {input_port} out of range for {n} ports")
     u = linalg.dft_multiport(n)
-    out = evolve(u, single_photon_state(input_port, Polarization.H, n))
-    probs = tuple(
-        abs(out.amplitude(single_photon_state(p, Polarization.H, n))) ** 2
-        for p in range(n)
-    )
+    out, amps = _single_photon_output(u, input_port)
+    probs = tuple(abs(amp) ** 2 for amp in amps)
     uniform = all(abs(p - 1.0 / n) <= 1e-12 for p in probs)
     return SchemeReport(
         scheme_kind="path-W",
@@ -105,6 +109,7 @@ def run_path_w(n: int, input_port: int = 0) -> SchemeReport:
 
 def scheme2_input(n: int) -> FockState:
     """The polarization-scheme input: H photons at ports 0..n-2, a V photon at port n-1."""
+    n = size(n, "port count", 1)
     photons = [(p, Polarization.H) for p in range(n - 1)] + [(n - 1, Polarization.V)]
     return product_input(photons, n)
 
@@ -115,7 +120,7 @@ def polarization_scheme_coupler(n: int) -> np.ndarray:
     coincidence branches interfere with equal phases (the DFT_4 branches
     alternate in sign and would give a locally-equivalent but not uniform
     W state)."""
-    if n == 4:
+    if size(n, "port count", 2) == 4:
         return linalg.canonical_quarter()
     return linalg.dft_multiport(n)
 
@@ -127,8 +132,7 @@ def run_polarization_w(n: int) -> SchemeReport:
     probability for n=3 is 1/9 and for n=4 is 1/16. For other n the
     numbers are computed with no published reference.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 ports, got {n}")
+    n = size(n, "port count", 2)
     u = polarization_scheme_coupler(n)
     out = evolve(u, scheme2_input(n))
     result = postselect(out, CoincidencePattern.one_per_port())
@@ -153,16 +157,15 @@ def run_designed_path(target: np.ndarray) -> SchemeReport:
     """Complete a unitary from the target column and produce that path state exactly.
 
     A single photon enters port 0 of the completed coupler; the output
-    amplitude at port k must reproduce target[k] within 1e-10.
+    amplitude at port k must reproduce target[k] within ``linalg.UNITARITY_TOL``.
     """
     c = linalg.check_normalized_column(target)
     n = c.size
     u = linalg.complete_unitary_from_column(c)
-    out = evolve(u, single_photon_state(0, Polarization.H, n))
+    out, amps = _single_photon_output(u, 0)
     target_state = target_from_coefficients(c[::-1], "path")
-    for p in range(n):
-        amp = out.amplitude(single_photon_state(p, Polarization.H, n))
-        if abs(amp - c[p]) > 1e-10:
+    for p, amp in enumerate(amps):
+        if abs(amp - c[p]) > linalg.UNITARITY_TOL:
             raise NumericalError(
                 f"designed output at port {p} is {amp}, expected {c[p]}"
             )

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from wstategen import linalg
+from wstategen.errors import NumericalError
 from wstategen.fock import Polarization
 from wstategen.schemes import (
     polarization_scheme_coupler,
@@ -127,6 +129,15 @@ class TestRunDesignedPath:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             run_designed_path(np.array([1.0, 1.0]))
+
+    def test_output_mismatch_names_the_port(self, monkeypatch):
+        # An identity coupler sends the photon straight through: port 0 holds
+        # amplitude 1, not the target's first entry.
+        monkeypatch.setattr(linalg, "complete_unitary_from_column",
+                            lambda c: np.eye(len(c), dtype=complex))
+        target = np.array([math.sqrt(2 / 3), -math.sqrt(1 / 6), -math.sqrt(1 / 6)])
+        with pytest.raises(NumericalError, match="designed output at port 0 "):
+            run_designed_path(target)
 
 
 class TestReportSerialization:
