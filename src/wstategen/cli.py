@@ -17,6 +17,7 @@ exact fraction p/q with q <= 64, so 0.111111111111 reads as 1/9.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -160,7 +161,7 @@ def cmd_polar_w(args, stream) -> None:
 
 def cmd_design(args, stream) -> None:
     target = _load_json(args.target, "target vector",
-                        lambda raw: np.array([complex(re, im) for re, im in raw]))
+                        lambda raw: linalg.complex_pairs(raw, "target vector"))
     u = linalg.complete_unitary_from_column(target)
 
     column_ok = bool(np.max(np.abs(u[:, 0] - target)) <= linalg.UNITARITY_TOL)
@@ -200,6 +201,7 @@ def cmd_evolve(args, stream) -> None:
                                   "conditional state")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wstategen",

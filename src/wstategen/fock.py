@@ -76,13 +76,8 @@ class FockState(NamedTuple):
     @property
     def occ(self) -> tuple[tuple[Mode, int], ...]:
         """(Mode, count) pairs with count > 0, by port then polarization (H before V)."""
-        pairs = []
-        for port, (ch, cv) in enumerate(zip(self.h, self.v)):
-            if ch:
-                pairs.append((Mode(port, Polarization.H), ch))
-            if cv:
-                pairs.append((Mode(port, Polarization.V), cv))
-        return tuple(pairs)
+        return tuple((Mode(port, pol), c) for port, counts in enumerate(zip(self.h, self.v))
+                     for pol, c in zip(Polarization, counts) if c)
 
     def count(self, mode: Mode) -> int:
         return self.occupation_vector(mode.pol)[mode.port] if 0 <= mode.port < self.n_ports else 0
@@ -255,10 +250,9 @@ class SuperposedState:
 
     @classmethod
     def from_json_obj(cls, obj: dict, require_normalized: bool = True) -> "SuperposedState":
-        terms = [
-            (FockState.from_json_obj(t["state"]), complex(t["amp"][0], t["amp"][1]))
-            for t in obj["terms"]
-        ]
+        """Inverse of :meth:`to_json_obj`; amplitudes are read by :func:`linalg.complex_pairs`."""
+        amps = linalg.complex_pairs([t["amp"] for t in obj["terms"]], "SuperposedState amplitudes")
+        terms = [(FockState.from_json_obj(t["state"]), a) for t, a in zip(obj["terms"], amps)]
         return cls(terms, obj["nPorts"], require_normalized=require_normalized)
 
     def __repr__(self) -> str:

@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import os
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -209,19 +209,33 @@ def _entries_chunks(a: np.ndarray, depth: int) -> list[str]:
     return out
 
 
+def complex_pairs(pairs: list, what: str) -> np.ndarray:
+    """A list of ``[re, im]`` pairs of numbers as a complex128 vector, bit for bit.
+
+    Numbers are finite ints, floats and numpy reals, not bools; else ValueError.
+    """
+    try:
+        sizes, flat = set(map(len, pairs)), list(chain.from_iterable(pairs))
+        kinds = set(map(type, flat)) - {int, float}
+        a = np.array(flat, dtype=float)
+        ok = sizes <= {2} and all(issubclass(t, (np.integer, np.floating)) for t in kinds)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not (ok and np.all(np.isfinite(a))):
+        raise ValueError(f"{what} must be a list of [re, im] pairs of finite numbers")
+    return a.view(complex)
+
+
 def matrix_from_json_obj(obj: dict) -> np.ndarray:
+    """The n x n matrix of ``{"n": n, "entries": [[re, im], ...]}``, by :func:`complex_pairs`."""
     n = size(obj["n"], "matrix JSON size n", 1)
-    entries = obj["entries"]
-    if len(entries) != n * n:
+    flat = complex_pairs(obj["entries"], "matrix JSON entries")
+    if flat.size != n * n:
         raise ValueError("matrix JSON is not square")
-    flat = np.array([complex(re, im) for re, im in entries])
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("matrix JSON contains non-finite entries")
     return flat.reshape(n, n)
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix`; rejects non-square or non-finite data."""
+    """Read a matrix written by :func:`write_matrix`; see :func:`matrix_from_json_obj`."""
     with open(path) as f:
-        obj = json.load(f)
-    return matrix_from_json_obj(obj)
+        return matrix_from_json_obj(json.load(f))

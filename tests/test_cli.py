@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import io
 import json
@@ -331,3 +332,80 @@ class TestArgparseBehaviour:
 
     def test_missing_required_flag(self):
         assert main(["path-w"], io.StringIO()) == 2
+
+
+class TestParserReuse:
+    def test_second_call_builds_no_parser(self, monkeypatch):
+        assert run_cli("path-w", "--n", "2")[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run_cli("polar-w", "--n", "3", "--format", "csv")[0] == 0
+        assert built == []
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        csv = run_cli("path-w", "--n", "4", "--format", "csv")
+        table = run_cli("path-w", "--n", "4")
+        assert csv[0] == table[0] == 0
+        assert csv[1].startswith("port,probability\n")
+        assert table[1].startswith("path-W scheme, n=4")
+        assert run_cli("path-w", "--n", "4", "--input-port", "x") == (2, "")
+        assert run_cli("path-w") == (2, "")
+        assert run_cli("path-w", "--n", "4", "--input-port", "3")[0] == 0
+        assert run_cli("path-w", "--n", "4") == table
+        capsys.readouterr()
+        assert run_cli("--help") == (0, "")
+        assert "usage: wstategen" in capsys.readouterr().out
+        assert run_cli("evolve", "--help") == (0, "")
+        assert "--postselect" in capsys.readouterr().out
+        assert run_cli("polar-w", "--n", "3", "--format", "csv") == \
+            run_cli("polar-w", "--format", "csv", "--n", "3")
+
+
+# Entries of the [re, im] format that are not pairs of finite numbers.
+BAD_ENTRIES = {
+    "bool": [[True, False]],
+    "string": [["1", 0]],
+    "scalar": [1],
+    "triple": [[1, 0, 9]],
+    "null": [[None, 0]],
+    "401 digits": [[10**400, 0]],
+}
+
+
+class TestPairInput:
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_design_target_exits_2(self, bad, tmp_path, capsys):
+        target_path = tmp_path / "target.json"
+        target_path.write_text(json.dumps(BAD_ENTRIES[bad] + [[0, 0]]))
+        out = tmp_path / "u.json"
+        code, text = run_cli("design", "--target", str(target_path), "--out", str(out))
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert "cannot read target vector" in err
+        assert "target vector must be a list of [re, im] pairs" in err
+        assert not out.exists()
+
+    def test_bool_target_from_json_text_exits_2(self, tmp_path):
+        target_path = tmp_path / "target.json"
+        target_path.write_text("[[true, false], [false, false]]")
+        out = tmp_path / "u.json"
+        assert run_cli("design", "--target", str(target_path), "--out", str(out))[0] == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_evolve_matrix_exits_2(self, bad, tmp_path, capsys):
+        matrix_path = tmp_path / "m.json"
+        matrix_path.write_text(json.dumps({"n": 1, "entries": BAD_ENTRIES[bad]}))
+        input_path = tmp_path / "input.json"
+        input_path.write_text(json.dumps(product_input([(0, H)], 1).to_json_obj()))
+        code, text = run_cli("evolve", "--matrix", str(matrix_path), "--input", str(input_path))
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert "cannot read matrix" in err
+        assert "matrix JSON entries must be a list of [re, im] pairs" in err

@@ -1,9 +1,14 @@
-"""The package's two input rules, at every public entry point that uses them.
+"""The package's three input rules, at every public entry point that uses them.
 
 A size, port or count is an integer: numpy integers pass and are stored as
 ``int``, while a float (2.0 included), a string, ``None`` or a ``bool``
 raises ``ValueError``. A matrix argument must be square, else ``ValueError``.
+A matrix entry, design target or amplitude is an ``[re, im]`` pair of finite
+numbers (``int``, ``float`` or numpy reals, not ``bool``), read by
+``linalg.complex_pairs``, else ``ValueError``.
 """
+import json
+
 import numpy as np
 import pytest
 
@@ -104,3 +109,121 @@ def test_non_square_raises_value_error(user, shape, tmp_path):
     with pytest.raises(ValueError, match="not square"):
         call(np.ones(shape), *args)
     assert not (tmp_path / "m.json").exists()
+
+
+# One malformed input of each kind for the [re, im] rule.
+BAD_PAIRS = {
+    "bool": [[True, False]],
+    "string": [["1", 0]],
+    "scalar": [1],
+    "triple": [[1, 0, 9]],
+    "null": [[None, 0]],
+    "401 digits": [[10**400, 0]],
+    "nan": [[float("nan"), 0]],
+    "numpy bool": [[np.bool_(True), 0.0]],
+    "complex": [[1j, 0]],
+    "nested": [[[1, 0]]],
+    "ragged": [[1, 0], [1]],
+    "not a list": 5,
+}
+
+
+@pytest.mark.parametrize("bad", BAD_PAIRS)
+def test_complex_pairs_refuses(bad):
+    with pytest.raises(ValueError, match="^reader X must be a list of"):
+        linalg.complex_pairs(BAD_PAIRS[bad], "reader X")
+
+
+@pytest.mark.parametrize("bad", BAD_PAIRS)
+def test_matrix_entries_refused_with_value_error(bad):
+    entries = BAD_PAIRS[bad]
+    with pytest.raises(ValueError, match="matrix JSON entries must be"):
+        linalg.matrix_from_json_obj({"n": 1, "entries": entries})
+
+
+def test_matrix_entries_of_json_text_refused(tmp_path):
+    path = tmp_path / "m.json"
+    for text in ("[[true, false]]", '[[1, 0, "junk"]]', "[[1" + "0" * 400 + ", 0]]"):
+        path.write_text('{"n": 1, "entries": %s}' % text)
+        with pytest.raises(ValueError, match="matrix JSON entries must be"):
+            linalg.read_matrix(path)
+
+
+def test_superposed_amplitude_refused():
+    state = w_state_path(2)
+    obj = state.to_json_obj()
+    obj["terms"][0]["amp"] = [True, False, "junk"]
+    with pytest.raises(ValueError, match="SuperposedState amplitudes must be"):
+        SuperposedState.from_json_obj(obj)
+    for bad in ([True, False], ["1", 0], 1, [None, 0], [10**400, 0]):
+        obj["terms"][0]["amp"] = bad
+        with pytest.raises(ValueError, match="SuperposedState amplitudes must be"):
+            SuperposedState.from_json_obj(obj, require_normalized=False)
+
+
+def _random_unitary(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _signed_zero_and_subnormal(n: int) -> np.ndarray:
+    m = np.full((n, n), complex(-0.0, -0.0))
+    m.flat[::2] = complex(5e-324, -2.2250738585072014e-308)
+    m.flat[1::3] = complex(-5e-324, 0.0)
+    return m
+
+
+MATRICES = {
+    **{f"random {n} seed {n * 7}": _random_unitary(n, n * 7) for n in (1, 2, 5, 9)},
+    **{f"dft {n}": linalg.dft_multiport(n) for n in (2, 3, 4, 7, 16)},
+    "signed zero and subnormal": _signed_zero_and_subnormal(4),
+}
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_matrix_json_round_trip_is_bit_identical(name):
+    u = MATRICES[name]
+    back = linalg.matrix_from_json_obj(linalg.matrix_to_json_obj(u))
+    assert back.dtype == np.complex128 and back.shape == u.shape
+    assert back.tobytes() == u.tobytes()
+    text = json.loads(json.dumps(linalg.matrix_to_json_obj(u)))
+    assert linalg.matrix_from_json_obj(text).tobytes() == u.tobytes()
+
+
+def _python_complex_bytes(pairs) -> bytes:
+    return np.array([complex(re, im) for re, im in pairs]).tobytes()
+
+
+def test_integer_entries_give_the_bits_of_python_complex():
+    ints = [0, -0, 1, -3, 2**53 + 1, -(2**63) - 1, 2**64 + 2**11 + 1, 2**70 + 1,
+            10**308, -(2**1024 - 2**970 - 1)]
+    pairs = [[a, b] for a in ints for b in ints]
+    want = _python_complex_bytes(pairs)
+    assert linalg.complex_pairs(pairs, "ints").tobytes() == want
+
+
+def test_numpy_scalars_pass():
+    pairs = [[np.int64(3), np.float32(0.1)], [np.uint64(2**64 - 1), np.float64(-0.0)],
+             [np.int8(-2), np.float16(0.3)], [np.longdouble(1) / 3, 0]]
+    want = _python_complex_bytes(pairs)
+    assert linalg.complex_pairs(pairs, "numpy").tobytes() == want
+    obj = {"n": np.int64(2), "entries": pairs}
+    assert linalg.matrix_from_json_obj(obj).ravel().tobytes() == want
+
+
+def test_empty_pairs_give_an_empty_vector():
+    empty = linalg.complex_pairs([], "nothing")
+    assert empty.dtype == np.complex128 and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("state", [
+    w_state_path(5),
+    w_state_polarization(4),
+    run_polarization_w(3).output_state,
+    evolve(linalg.dft_multiport(4), FockState.from_counts([((0, H), 2), ((3, H), 1)], 4)),
+], ids=["path W5", "polarization W4", "scheme 2 output n=3", "bunched DFT4 output"])
+def test_superposed_json_round_trip(state):
+    assert SuperposedState.from_json_obj(state.to_json_obj()) == state
+    text = json.loads(json.dumps(state.to_json_obj()))
+    assert SuperposedState.from_json_obj(text) == state
