@@ -48,6 +48,23 @@ EVOLVE_DFT4_INPUT = {
     ],
 }
 
+# Householder coupler from ``design`` on a fixed 6-entry target, with a
+# bunched 3 H + 3 V input: a dense output of 56 x 56 = 3,136 terms, none
+# pruned, of which 20 pass the one-per-port post-selection.
+DESIGN6_RAW = [1.0, 0.5 + 1.0j, -0.75 + 0.25j, 0.3 - 0.6j, -0.2 - 0.4j, 0.9 + 0.1j]
+DESIGN6_TARGET = [[z.real / math.sqrt(sum(abs(w) ** 2 for w in DESIGN6_RAW)),
+                   z.imag / math.sqrt(sum(abs(w) ** 2 for w in DESIGN6_RAW))]
+                  for z in map(complex, DESIGN6_RAW)]
+EVOLVE_DESIGN6_INPUT = {
+    "nPorts": 6,
+    "occ": [
+        {"port": 0, "pol": "H", "count": 2},
+        {"port": 1, "pol": "H", "count": 1},
+        {"port": 3, "pol": "V", "count": 1},
+        {"port": 5, "pol": "V", "count": 2},
+    ],
+}
+
 
 def _cli_text(argv: list[str]) -> str:
     stream = io.StringIO()
@@ -55,11 +72,18 @@ def _cli_text(argv: list[str]) -> str:
     return stream.getvalue()
 
 
-def _evolve_text(fmt: str, n: int = 5, input_state: dict = EVOLVE_INPUT) -> str:
+def _evolve_text(fmt: str, n: int = 5, input_state: dict = EVOLVE_INPUT,
+                 target: list | None = None) -> str:
+    """CLI ``evolve`` text on DFT_n, or on the ``design`` output for ``target`` if given."""
     with tempfile.TemporaryDirectory() as tmp:
-        matrix = Path(tmp) / "dft.json"
+        matrix = Path(tmp) / "coupler.json"
         state = Path(tmp) / "input.json"
-        linalg.write_matrix(matrix, linalg.dft_multiport(n))
+        if target is None:
+            linalg.write_matrix(matrix, linalg.dft_multiport(n))
+        else:
+            target_path = Path(tmp) / "target.json"
+            target_path.write_text(json.dumps(target))
+            _cli_text(["design", "--target", str(target_path), "--out", str(matrix)])
         state.write_text(json.dumps(input_state))
         return _cli_text(["evolve", "--matrix", str(matrix), "--input", str(state),
                           "--postselect", "one-per-port", "--format", fmt])
@@ -100,6 +124,8 @@ def _cases() -> dict:
         cases[f"cli-path-w-n6-port2-{fmt}"] = lambda f=fmt: _cli_text(
             ["path-w", "--n", "6", "--input-port", "2", "--format", f])
         cases[f"cli-evolve-dft5-bunched-{fmt}"] = lambda f=fmt: _evolve_text(f)
+        cases[f"cli-evolve-design6-bunched-{fmt}"] = lambda f=fmt: _evolve_text(
+            f, 6, EVOLVE_DESIGN6_INPUT, DESIGN6_TARGET)
     for fmt in ("csv", "table"):
         cases[f"cli-evolve-dft4-bunched-{fmt}"] = lambda f=fmt: _evolve_text(
             f, 4, EVOLVE_DFT4_INPUT)
