@@ -28,7 +28,7 @@ import numpy as np
 from . import jsontext, linalg
 from .errors import CapacityError, NumericalError
 from .evolve import evolve as evolve_state
-from .fock import FockState, SuperposedState, ket_texts
+from .fock import FockState, SuperposedState
 from .postselect import CoincidencePattern, postselect
 from .schemes import SchemeReport, run_path_w, run_polarization_w
 
@@ -122,16 +122,15 @@ def _print_polar_w(report: SchemeReport, fmt: str, stream) -> None:
 
 
 def _print_superposed(state: SuperposedState, fmt: str, stream, heading: str) -> None:
-    terms = state.terms
-    kets = ket_texts(terms)
-    amps = terms.values()
+    kets = state.kets()
+    amps = state.amplitudes.tolist()
     probs = [abs(amp) ** 2 for amp in amps]
     if fmt == "csv":
         lines = ["state,re,im,probability\n"]
         lines += [f"{ket},{amp.real:.12g},{amp.imag:.12g},{prob:.12g}\n"
                   for ket, amp, prob in zip(kets, amps, probs)]
     else:
-        lines = [f"{heading} ({len(terms)} terms):\n"]
+        lines = [f"{heading} ({len(amps)} terms):\n"]
         lines += [f"  {ket}: amp {amp.real:.12g}{amp.imag:+.12g}i  p={prob:.12g}{note}\n"
                   for ket, amp, prob, note in zip(kets, amps, probs, rational_notes(probs))]
     stream.write("".join(lines))

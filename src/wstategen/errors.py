@@ -2,7 +2,8 @@
 
 Invalid arguments raise the stdlib ``ValueError``; only failure modes that
 callers need to tell apart get their own class. A port, count or size is
-checked by :func:`integer` or :func:`size` at the public call that takes it.
+checked by :func:`integer` or :func:`size` at the public call that takes it,
+and a JSON object's keys are read by :func:`json_fields`.
 """
 import operator
 
@@ -48,3 +49,21 @@ def size(value, what: str, minimum: int) -> int:
     if i is None or i < minimum:
         raise ValueError(f"{what} must be an integer of at least {minimum}, got {value!r}")
     return i
+
+
+def json_fields(obj, what: str, **kinds: type) -> list:
+    """The values of the keys of ``kinds`` in the JSON object ``obj``, in that order.
+
+    Each value must be an instance of its kind (``object`` takes any value).
+    A non-object, a missing key or a value of another kind raises
+    ValueError naming ``what``.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    for key, kind in kinds.items():
+        if key not in obj:
+            raise ValueError(f"{what} has no key {key!r}")
+        if not isinstance(obj[key], kind):
+            raise ValueError(f"{what} key {key!r} must be a {kind.__name__}, "
+                             f"got {type(obj[key]).__name__}")
+    return [obj[key] for key in kinds]

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, NumericalError
-from .fock import FockState, SuperposedState
+from .fock import FockState, Product, SuperposedState
 from .linalg import UNITARITY_TOL, permanent, square, verify_unitary
 
 # Exact-enumeration limits; see CapacityError.
@@ -122,13 +122,13 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
     _check_transition_caps(input_state)
     n = input_state.n_ports
 
-    per_pol = [
-        list(_sector_amplitudes(u, occ_in, combinations_with_replacement(range(n), sum(occ_in))))
-        for occ_in in (input_state.h, input_state.v)
-    ]
-
-    return SuperposedState(((FockState(n, occ_h, occ_v), amp_h * amp_v)
-                            for (occ_h, amp_h), (occ_v, amp_v) in iproduct(*per_pol)), n)
+    sectors = []
+    for occ_in in (input_state.h, input_state.v):
+        patterns = combinations_with_replacement(range(n), sum(occ_in))
+        occs, amps = zip(*_sector_amplitudes(u, occ_in, patterns))
+        # The patterns come in descending occupation order; the terms go in ascending.
+        sectors.append((np.array(occs[::-1]), amps[::-1]))
+    return SuperposedState(Product(*sectors), n)
 
 
 def oracle_evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:

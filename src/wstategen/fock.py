@@ -2,11 +2,11 @@
 
 A mode is a (spatial port, polarization) pair. A :class:`FockState` is the
 named tuple ``(n_ports, h, v)`` of a port count and two per-port occupation
-vectors, one for H photons and one for V photons, which is the form the
-evolution engine, term ordering and post-selection all work in. The sorted
-(mode, count) view ``FockState.occ`` is derived from them for the JSON and
-text forms. A :class:`SuperposedState` is a finite map from Fock states to
-complex amplitudes, kept in tuple order of its states.
+vectors, one for H photons and one for V photons. The sorted (mode, count)
+view ``FockState.occ`` is derived from them for the JSON and text forms. A
+:class:`SuperposedState` is a finite map from Fock states to complex
+amplitudes, kept in tuple order of its states as an occupation table and an
+amplitude vector, which evolution and post-selection fill and read as arrays.
 
 All types are immutable values: equal occupations compare equal and hash
 identically, and everything is safe to share across threads.
@@ -17,10 +17,13 @@ import cmath
 import enum
 import math
 import operator
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 from . import jsontext, linalg
-from .errors import NumericalError, integer, size
+from .errors import NumericalError, integer, json_fields, size
 
 # Amplitudes below this are dropped on construction so destructive
 # interference leaves canonical term maps.
@@ -105,8 +108,10 @@ class FockState(NamedTuple):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FockState":
-        pairs = [((e["port"], e["pol"]), e["count"]) for e in obj["occ"]]
-        return cls.from_counts(pairs, obj["nPorts"])
+        n_ports, occ = json_fields(obj, "Fock state JSON", nPorts=object, occ=list)
+        entries = [json_fields(e, "Fock state occ entry", port=object, pol=object, count=object)
+                   for e in occ]
+        return cls.from_counts((((port, pol), count) for port, pol, count in entries), n_ports)
 
     def __str__(self) -> str:
         return ket_texts([self])[0]
@@ -137,6 +142,57 @@ def ket_texts(states: Iterable[FockState]) -> list[str]:
     return kets
 
 
+def fock_states(n_ports: int, table: np.ndarray) -> list[FockState]:
+    """The :class:`FockState` of each row of an occupation table (``h`` then ``v`` columns)."""
+    return [FockState(n_ports, tuple(row[:n_ports]), tuple(row[n_ports:]))
+            for row in table.tolist()]
+
+
+class Product:
+    """Terms of a :class:`SuperposedState` as arrays: every combination of one row per factor.
+
+    Each factor is an ``(occupations, amplitudes)`` pair: a 2-D table of
+    int rows and one complex amplitude per row. A term puts one row of each
+    factor side by side, first factor major, so the factors' columns add
+    up to the ``h`` then ``v`` columns of a state, and multiplies their
+    amplitudes bit for bit as Python multiplies complex numbers. The
+    caller keeps each factor's rows distinct and ascending, so the terms
+    are too, and gives every term the same photon count per polarization;
+    neither is checked. The length is the number of terms.
+    """
+
+    __slots__ = ("factors",)
+
+    def __init__(self, *factors: tuple[Sequence[Sequence[int]] | np.ndarray,
+                                       Sequence[complex] | np.ndarray]):
+        self.factors = factors
+
+    def __len__(self) -> int:
+        return math.prod(len(amps) for _, amps in self.factors)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The occupation table and the amplitude vector of the terms.
+
+        Each product is written in its real form, ``a.real*b.real -
+        a.imag*b.imag`` and ``a.real*b.imag + a.imag*b.real``: numpy's
+        complex ``*`` gives other bits than Python's.
+        """
+        (occ, amps), *rest = self.factors
+        occ, amps = np.asarray(occ, dtype=np.int64), np.asarray(amps, dtype=complex)
+        for table, b in rest:
+            table, b = np.asarray(table, dtype=np.int64), np.asarray(b, dtype=complex)
+            ar, ai, br, bi = amps.real[:, None], amps.imag[:, None], b.real, b.imag
+            prod = np.empty((len(amps), len(b)), dtype=complex)
+            np.subtract(ar * br, ai * bi, out=prod.real)
+            np.add(ar * bi, ai * br, out=prod.imag)
+            width = occ.shape[1]
+            rows = np.empty((len(occ), len(table), width + table.shape[1]), dtype=np.int64)
+            rows[:, :, :width] = occ[:, None, :]
+            rows[:, :, width:] = table[None, :, :]
+            occ, amps = rows.reshape(prod.size, -1), prod.ravel()
+        return occ, amps
+
+
 class SuperposedState:
     """Finite map FockState -> complex amplitude over a fixed port count.
 
@@ -144,58 +200,97 @@ class SuperposedState:
     polarization. Amplitudes below ``AMPLITUDE_PRUNE_TOL`` are dropped.
     Normalization is enforced unless the owning operation passes
     ``require_normalized=False`` (explicitly-unnormalized intermediates).
+
+    The terms are stored as two read-only arrays in ascending tuple order
+    of their states: ``occupations``, an int table with one row per term
+    (the ``h`` counts, then the ``v`` counts), and ``amplitudes``, a
+    complex128 vector. :class:`FockState` objects are built only when the
+    terms are iterated, listed, looked up, printed or written as a JSON tree.
     """
 
-    def __init__(self, terms: Mapping[FockState, complex] | Iterable[tuple[FockState, complex]],
-                 n_ports: int, require_normalized: bool = True):
+    def __init__(self, terms: Mapping[FockState, complex] | Iterable[tuple[FockState, complex]]
+                 | Product, n_ports: int, require_normalized: bool = True):
         n_ports = size(n_ports, "n_ports", 1)
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        kept: dict[FockState, complex] = {}
-        for state, amp in items:
-            amp = complex(amp)
-            if not cmath.isfinite(amp):
+        if isinstance(terms, Product):
+            occ, amps = terms.arrays()
+            if occ.shape[1] != 2 * n_ports:
+                raise ValueError(f"term table has {occ.shape[1]} columns, expected {2 * n_ports}")
+            amps = amps + 0.0  # to both parts, as the mapping form's first addition to 0.0
+            # np.hypot has the bits of Python's abs(complex); np.abs does not.
+            mag = np.hypot(amps.real, amps.imag)
+            if not math.isfinite(mag.max(initial=0.0)):
+                state = fock_states(n_ports, occ[~np.isfinite(mag)][:1])[0]
                 raise ValueError(f"non-finite amplitude for {state}")
-            if abs(amp) < AMPLITUDE_PRUNE_TOL:
-                continue
-            if state.n_ports != n_ports:
-                raise ValueError(f"term {state} has {state.n_ports} ports, expected {n_ports}")
-            kept[state] = kept.get(state, 0.0) + amp
-        if len({(sum(h), sum(v)) for _, h, v in kept}) > 1:
-            raise ValueError("terms differ in photon count per polarization")
+            if mag.min(initial=math.inf) < AMPLITUDE_PRUNE_TOL:
+                keep = mag >= AMPLITUDE_PRUNE_TOL
+                occ, amps = occ[keep], amps[keep]
+            added = amps.tolist() if require_normalized else ()
+        else:
+            kept = _kept_terms(terms, n_ports)
+            if len({(sum(h), sum(v)) for _, h, v in kept}) > 1:
+                raise ValueError("terms differ in photon count per polarization")
+            states = sorted(kept)
+            occ = np.array([h + v for _, h, v in states], dtype=np.int64)
+            occ = occ.reshape(len(states), 2 * n_ports)
+            amps = np.array([kept[s] for s in states], dtype=complex)
+            added = kept.values()
         if require_normalized:
-            norm_sq = sum(abs(a) ** 2 for a in kept.values())
+            # In the order the terms were added, as a Python sum.
+            norm_sq = sum(abs(a) ** 2 for a in added)
             if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
                 raise NumericalError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
+        occ.flags.writeable = amps.flags.writeable = False
         self.n_ports = n_ports
-        self._terms = dict(sorted(kept.items()))
+        self.occupations = occ
+        self.amplitudes = amps
+        self._index: dict[tuple[int, ...], int] | None = None
 
     @property
     def terms(self) -> dict[FockState, complex]:
-        return dict(self._terms)
+        return dict(self)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.amplitudes)
 
     def __iter__(self) -> Iterator[tuple[FockState, complex]]:
-        return iter(self._terms.items())
+        return zip(fock_states(self.n_ports, self.occupations), self.amplitudes.tolist())
+
+    def row_index(self) -> dict[tuple[int, ...], int]:
+        """Row number of each occupation row, as a tuple of its ``h`` then ``v`` counts.
+
+        Built on the first call and kept.
+        """
+        if self._index is None:
+            self._index = {row: i for i, row in enumerate(map(tuple, self.occupations.tolist()))}
+        return self._index
 
     def amplitude(self, state: FockState) -> complex:
-        return self._terms.get(state, 0.0 + 0.0j)
+        n_ports, h, v = state
+        i = self.row_index().get(h + v) if n_ports == self.n_ports else None
+        return 0.0 + 0.0j if i is None else self.amplitudes[i].item()
+
+    def kets(self) -> list[str]:
+        """:func:`ket_texts` of the terms, in term order."""
+        n = self.n_ports
+        # ket_texts zips each row with range(n), so the full row serves as ``h``.
+        return ket_texts((n, row, row[n:]) for row in self.occupations.tolist())
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self._terms.values())
+        return sum(abs(a) ** 2 for a in self.amplitudes.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SuperposedState):
             return NotImplemented
-        return self.n_ports == other.n_ports and self._terms == other._terms
+        return (self.n_ports == other.n_ports
+                and np.array_equal(self.occupations, other.occupations)
+                and np.array_equal(self.amplitudes, other.amplitudes))
 
     def allclose(self, other: "SuperposedState", tol: float = 1e-9) -> bool:
         """Term-for-term amplitude agreement within ``tol``."""
         if self.n_ports != other.n_ports:
             return False
-        states = set(self._terms) | set(other._terms)
-        return all(abs(self.amplitude(s) - other.amplitude(s)) <= tol for s in states)
+        mine, theirs = self.terms, other.terms
+        return all(abs(mine.get(s, 0j) - theirs.get(s, 0j)) <= tol for s in mine.keys() | theirs)
 
     def to_json_obj(self) -> dict:
         return jsontext.expand(self.json_frame())
@@ -206,8 +301,7 @@ class SuperposedState:
                 "terms": jsontext.Template(self._terms_chunks, self._terms_tree)}
 
     def _terms_tree(self) -> list:
-        return [{"state": s.to_json_obj(), "amp": [amp.real, amp.imag]}
-                for s, amp in self._terms.items()]
+        return [{"state": s.to_json_obj(), "amp": [amp.real, amp.imag]} for s, amp in self]
 
     def _terms_chunks(self, depth: int) -> list[str]:
         """Pieces of the indent-2 JSON text of :meth:`_terms_tree` at nesting ``depth``.
@@ -217,10 +311,11 @@ class SuperposedState:
         string per term is too large for Python's small-object allocator,
         and the heap it leaves behind raised the benchmark's peak RSS.
         """
-        if not self._terms:
+        if not len(self):
             return ["[]"]
+        n = self.n_ports
         i0, i1, i2, i3, i4, i5 = ("\n" + "  " * (depth + k) for k in range(6))
-        state_head = f'{i1}{{{i2}"state": {{{i3}"nPorts": {self.n_ports},{i3}"occ": '
+        state_head = f'{i1}{{{i2}"state": {{{i3}"nPorts": {n},{i3}"occ": '
         occ_close = f"{i3}]"
         amp_head = f'{i2}}},{i2}"amp": [{i3}'
         # The occ entries of one port, by (port, H count, V count); few distinct keys.
@@ -231,10 +326,10 @@ class SuperposedState:
 
         out = []
         sep = "["
-        for (_, h, v), amp in self._terms.items():
+        for row, amp in zip(self.occupations.tolist(), self.amplitudes.tolist()):
             out += (sep, state_head)
             occ_sep = "["
-            for port, ch, cv in zip(range(self.n_ports), h, v):
+            for port, ch, cv in zip(range(n), row, row[n:]):
                 if ch or cv:
                     key = (port, ch, cv)
                     if key not in port_text:
@@ -251,13 +346,32 @@ class SuperposedState:
     @classmethod
     def from_json_obj(cls, obj: dict, require_normalized: bool = True) -> "SuperposedState":
         """Inverse of :meth:`to_json_obj`; amplitudes are read by :func:`linalg.complex_pairs`."""
-        amps = linalg.complex_pairs([t["amp"] for t in obj["terms"]], "SuperposedState amplitudes")
-        terms = [(FockState.from_json_obj(t["state"]), a) for t, a in zip(obj["terms"], amps)]
-        return cls(terms, obj["nPorts"], require_normalized=require_normalized)
+        n_ports, terms = json_fields(obj, "SuperposedState JSON", nPorts=object, terms=list)
+        pairs = [json_fields(t, "SuperposedState term", state=object, amp=object) for t in terms]
+        amps = linalg.complex_pairs([amp for _, amp in pairs], "SuperposedState amplitudes")
+        states = [FockState.from_json_obj(state) for state, _ in pairs]
+        return cls(zip(states, amps), n_ports, require_normalized=require_normalized)
 
     def __repr__(self) -> str:
-        body = " + ".join(f"({a:.4g}){s}" for s, a in self._terms.items())
+        body = " + ".join(f"({a:.4g}){s}" for s, a in self)
         return f"SuperposedState({body or '0'})"
+
+
+def _kept_terms(terms: Mapping[FockState, complex] | Iterable[tuple[FockState, complex]],
+                n_ports: int) -> dict[FockState, complex]:
+    """Map of ``terms`` in the order added: each amplitude pruned, then duplicates added."""
+    items = terms.items() if isinstance(terms, Mapping) else terms
+    kept: dict[FockState, complex] = {}
+    for state, amp in items:
+        amp = complex(amp)
+        if not cmath.isfinite(amp):
+            raise ValueError(f"non-finite amplitude for {state}")
+        if abs(amp) < AMPLITUDE_PRUNE_TOL:
+            continue
+        if state.n_ports != n_ports:
+            raise ValueError(f"term {state} has {state.n_ports} ports, expected {n_ports}")
+        kept[state] = kept.get(state, 0.0) + amp
+    return kept
 
 
 def single_photon_state(port: int, pol: Polarization, n_ports: int) -> FockState:
@@ -293,13 +407,9 @@ def target_from_coefficients(coeffs: Sequence[complex], kind: str) -> Superposed
     n = c.size
     if kind not in ("path", "polarization"):
         raise ValueError(f"kind must be 'path' or 'polarization', got {kind!r}")
-    terms = {}
-    for k in range(n):
-        port = n - 1 - k
-        if kind == "path":
-            state = single_photon_state(port, Polarization.H, n)
-        else:
-            photons = [(p, Polarization.V if p == port else Polarization.H) for p in range(n)]
-            state = product_input(photons, n)
-        terms[state] = complex(c[k])
-    return SuperposedState(terms, n)
+    # Row k of the table is the term of coefficient k for "path", and of
+    # coefficient n-1-k for "polarization", so the rows ascend.
+    one_hot = np.eye(n, dtype=np.int64)
+    if kind == "path":
+        return SuperposedState(Product((np.hstack((one_hot[::-1], 0 * one_hot)), c)), n)
+    return SuperposedState(Product((np.hstack((1 - one_hot, one_hot)), c[::-1])), n)

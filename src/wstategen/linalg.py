@@ -18,7 +18,7 @@ from itertools import chain, permutations
 import numpy as np
 
 from . import jsontext
-from .errors import size
+from .errors import json_fields, size
 
 UNITARITY_TOL = 1e-10
 
@@ -228,8 +228,9 @@ def complex_pairs(pairs: list, what: str) -> np.ndarray:
 
 def matrix_from_json_obj(obj: dict) -> np.ndarray:
     """The n x n matrix of ``{"n": n, "entries": [[re, im], ...]}``, by :func:`complex_pairs`."""
-    n = size(obj["n"], "matrix JSON size n", 1)
-    flat = complex_pairs(obj["entries"], "matrix JSON entries")
+    n, entries = json_fields(obj, "matrix JSON", n=object, entries=object)
+    n = size(n, "matrix JSON size n", 1)
+    flat = complex_pairs(entries, "matrix JSON entries")
     if flat.size != n * n:
         raise ValueError("matrix JSON is not square")
     return flat.reshape(n, n)

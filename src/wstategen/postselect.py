@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jsontext
 from .errors import NumericalError, integer
-from .fock import NORMALIZATION_TOL, FockState, SuperposedState
+from .fock import NORMALIZATION_TOL, FockState, Product, SuperposedState, fock_states
 
 # Below this a kept weight is treated as exact destructive interference,
 # not renormalizable round-off.
@@ -51,11 +53,15 @@ class CoincidencePattern:
                 if port >= n_ports:
                     raise ValueError(f"pattern references port {port}, device has {n_ports}")
 
-    def matches(self, state: FockState) -> bool:
-        spatial = state.spatial_counts()
+    def mask(self, state: SuperposedState) -> np.ndarray:
+        """Which terms of ``state`` match, from their spatial counts ``h + v``."""
+        n = state.n_ports
+        occ = state.occupations
+        spatial = occ[:, :n] + occ[:, n:]
         if self.required is None:
-            return spatial == (1,) * state.n_ports
-        return all(spatial[port] == count for port, count in self.required)
+            return (spatial == 1).all(axis=1)
+        ports, counts = [p for p, _ in self.required], [c for _, c in self.required]
+        return (spatial[:, ports] == counts).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -85,14 +91,15 @@ def postselect(state: SuperposedState, pattern: CoincidencePattern) -> PostSelec
     state is empty rather than renormalized noise.
     """
     pattern.validate_for(state.n_ports)
-    kept = {s: a for s, a in state if pattern.matches(s)}
-    probability = sum(abs(a) ** 2 for a in kept.values())
+    mask = pattern.mask(state)
+    kept = state.amplitudes[mask].tolist()
+    probability = sum(abs(a) ** 2 for a in kept)
     if probability < ZERO_PROBABILITY_TOL:
         conditional = SuperposedState({}, state.n_ports, require_normalized=False)
         return PostSelectionResult(conditional, 0.0, 0, 1.0)
     scale = 1.0 / math.sqrt(probability)
     conditional = SuperposedState(
-        {s: a * scale for s, a in kept.items()}, state.n_ports
+        Product((state.occupations[mask], [a * scale for a in kept])), state.n_ports
     )
     return PostSelectionResult(conditional, probability, len(kept), 1.0 - probability)
 
@@ -102,7 +109,9 @@ def branch_amplitude_report(
 ) -> list[tuple[FockState, complex]]:
     """Kept terms with their pre-renormalization amplitudes, in deterministic order."""
     pattern.validate_for(state.n_ports)
-    return [(s, a) for s, a in state if pattern.matches(s)]
+    mask = pattern.mask(state)
+    return list(zip(fock_states(state.n_ports, state.occupations[mask]),
+                    state.amplitudes[mask].tolist()))
 
 
 def fidelity(state: SuperposedState, target: SuperposedState) -> float:
@@ -115,7 +124,14 @@ def fidelity(state: SuperposedState, target: SuperposedState) -> float:
         raise ValueError(
             f"port counts differ: {state.n_ports} vs {target.n_ports}"
         )
-    overlap = sum(target.amplitude(s).conjugate() * a for s, a in state)
+    # A term of ``state`` missing from ``target`` adds an exact complex zero, so
+    # only the rows that ``target`` also holds are summed, in term order, from
+    # 0j; an empty ``state`` sums nothing and leaves the int 0.
+    index = target.row_index()
+    rows = [(i, j) for i, row in enumerate(map(tuple, state.occupations.tolist()))
+            if (j := index.get(row)) is not None]
+    amps, target_amps = state.amplitudes.tolist(), target.amplitudes.tolist()
+    overlap = sum((target_amps[j].conjugate() * amps[i] for i, j in rows), 0j if amps else 0)
     value = abs(overlap) ** 2
     if value > 1.0 + NORMALIZATION_TOL:
         raise NumericalError(f"fidelity {value!r} exceeds 1: a state is not normalized")

@@ -33,7 +33,11 @@ def _single_photon_output(u: np.ndarray, port: int) -> tuple[SuperposedState, li
     """Output of one H photon entering ``port`` of ``u``, and its amplitude at each port."""
     n = u.shape[0]
     out = evolve(u, single_photon_state(port, Polarization.H, n))
-    return out, [out.amplitude(single_photon_state(p, Polarization.H, n)) for p in range(n)]
+    amps = [0.0 + 0.0j] * n
+    # Each term holds the photon at one port, the one nonzero H column of its row.
+    for p, amp in zip(np.nonzero(out.occupations[:, :n])[1].tolist(), out.amplitudes.tolist()):
+        amps[p] = amp
+    return out, amps
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,23 @@
-"""The package's three input rules, at every public entry point that uses them.
+"""The package's input rules, at every public entry point that uses them.
 
 A size, port or count is an integer: numpy integers pass and are stored as
 ``int``, while a float (2.0 included), a string, ``None`` or a ``bool``
 raises ``ValueError``. A matrix argument must be square, else ``ValueError``.
 A matrix entry, design target or amplitude is an ``[re, im]`` pair of finite
 numbers (``int``, ``float`` or numpy reals, not ``bool``), read by
-``linalg.complex_pairs``, else ``ValueError``.
+``linalg.complex_pairs``, else ``ValueError``. A JSON object is read by
+``errors.json_fields``: a non-object, a missing key or a key of the wrong
+kind raises ``ValueError`` naming the reader.
 """
+import io
 import json
 
 import numpy as np
 import pytest
 
 from wstategen import linalg
+from wstategen.cli import EXIT_INVALID, main
+from wstategen.errors import json_fields
 from wstategen.evolve import evolve, transition_amplitude
 from wstategen.fock import (
     FockState,
@@ -227,3 +232,76 @@ def test_superposed_json_round_trip(state):
     assert SuperposedState.from_json_obj(state.to_json_obj()) == state
     text = json.loads(json.dumps(state.to_json_obj()))
     assert SuperposedState.from_json_obj(text) == state
+
+
+def test_json_fields_reads_keys_in_order():
+    assert json_fields({"b": [1], "a": 2, "c": 3}, "thing", a=object, b=list) == [2, [1]]
+
+
+@pytest.mark.parametrize("obj,message", [
+    ([], "thing must be a JSON object, got list"),
+    ("a", "thing must be a JSON object, got str"),
+    (None, "thing must be a JSON object, got NoneType"),
+    ({"a": 1}, "thing has no key 'b'"),
+    ({"a": 1, "b": 5}, "thing key 'b' must be a list, got int"),
+])
+def test_json_fields_refuses(obj, message):
+    with pytest.raises(ValueError) as info:
+        json_fields(obj, "thing", a=object, b=list)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+_FOCK = {"nPorts": 2, "occ": [{"port": 0, "pol": "H", "count": 1}]}
+
+# reader -> malformed JSON object -> the start of its message.
+BAD_OBJECTS = {
+    "matrix": (linalg.matrix_from_json_obj, {
+        "list": ([], "matrix JSON must be a JSON object"),
+        "no entries": ({"n": 1}, "matrix JSON has no key 'entries'"),
+        "no n": ({"entries": [[1.0, 0.0]]}, "matrix JSON has no key 'n'"),
+    }),
+    "fock": (FockState.from_json_obj, {
+        "list": ([_FOCK], "Fock state JSON must be a JSON object"),
+        "no occ": ({"nPorts": 2}, "Fock state JSON has no key 'occ'"),
+        "occ not a list": ({"nPorts": 2, "occ": 5}, "Fock state JSON key 'occ' must be a list"),
+        "entry without pol": ({"nPorts": 2, "occ": [{"port": 0, "count": 1}]},
+                              "Fock state occ entry has no key 'pol'"),
+        "entry not an object": ({"nPorts": 2, "occ": [[0, "H", 1]]},
+                                "Fock state occ entry must be a JSON object"),
+    }),
+    "superposed": (SuperposedState.from_json_obj, {
+        "string": ("terms", "SuperposedState JSON must be a JSON object"),
+        "no nPorts": ({"terms": []}, "SuperposedState JSON has no key 'nPorts'"),
+        "no terms": ({"nPorts": 2}, "SuperposedState JSON has no key 'terms'"),
+        "term without amp": ({"nPorts": 2, "terms": [{"state": _FOCK}]},
+                             "SuperposedState term has no key 'amp'"),
+        "term without state": ({"nPorts": 2, "terms": [{"amp": [1.0, 0.0]}]},
+                               "SuperposedState term has no key 'state'"),
+        "state without occ": ({"nPorts": 2, "terms": [{"state": {"nPorts": 2},
+                                                       "amp": [1.0, 0.0]}]},
+                              "Fock state JSON has no key 'occ'"),
+    }),
+}
+BAD_OBJECT_CASES = [(reader, case) for reader, (_, cases) in BAD_OBJECTS.items()
+                    for case in cases]
+
+
+@pytest.mark.parametrize("reader,case", BAD_OBJECT_CASES)
+def test_json_readers_raise_value_error(reader, case):
+    read, cases = BAD_OBJECTS[reader]
+    obj, message = cases[case]
+    with pytest.raises(ValueError) as info:
+        read(obj)
+    assert type(info.value) is ValueError and str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("reader,case", [c for c in BAD_OBJECT_CASES if c[0] != "superposed"])
+def test_cli_exits_2_on_malformed_json_objects(reader, case, tmp_path, capsys):
+    obj, message = BAD_OBJECTS[reader][1][case]
+    matrix, state = tmp_path / "m.json", tmp_path / "s.json"
+    linalg.write_matrix(matrix, linalg.dft_multiport(2))
+    state.write_text(json.dumps(_FOCK))
+    (matrix if reader == "matrix" else state).write_text(json.dumps(obj))
+    assert main(["evolve", "--matrix", str(matrix), "--input", str(state)], io.StringIO()) \
+        == EXIT_INVALID
+    assert message in capsys.readouterr().err
