@@ -126,8 +126,9 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
     for occ_in in (input_state.h, input_state.v):
         patterns = combinations_with_replacement(range(n), sum(occ_in))
         occs, amps = zip(*_sector_amplitudes(u, occ_in, patterns))
-        # The patterns come in descending occupation order; the terms go in ascending.
-        sectors.append((np.array(occs[::-1]), amps[::-1]))
+        # The patterns come in descending occupation order; the terms go in
+        # ascending. Counts are at most PHOTON_CAP, so int8 holds them.
+        sectors.append((np.array(occs[::-1], dtype=np.int8), amps[::-1]))
     return SuperposedState(Product(*sectors), n)
 
 

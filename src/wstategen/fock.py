@@ -142,6 +142,22 @@ def ket_texts(states: Iterable[FockState]) -> list[str]:
     return kets
 
 
+# Rows per ``tolist`` call when a whole table is read row by row.
+_BLOCK = 1024
+
+
+def _listed(a: np.ndarray) -> Iterator:
+    """``iter(a.tolist())``, listed a block of rows at a time so few Python objects live at once."""
+    for start in range(0, len(a), _BLOCK):
+        yield from a[start:start + _BLOCK].tolist()
+
+
+def row_keys(table: np.ndarray) -> list[bytes]:
+    """The bytes of each row of an occupation table, as int64: equal rows, equal keys."""
+    table = np.ascontiguousarray(table, dtype=np.int64)
+    return table.view(np.dtype((np.void, table.shape[1] * 8))).ravel().tolist()
+
+
 def fock_states(n_ports: int, table: np.ndarray) -> list[FockState]:
     """The :class:`FockState` of each row of an occupation table (``h`` then ``v`` columns)."""
     return [FockState(n_ports, tuple(row[:n_ports]), tuple(row[n_ports:]))
@@ -152,13 +168,14 @@ class Product:
     """Terms of a :class:`SuperposedState` as arrays: every combination of one row per factor.
 
     Each factor is an ``(occupations, amplitudes)`` pair: a 2-D table of
-    int rows and one complex amplitude per row. A term puts one row of each
-    factor side by side, first factor major, so the factors' columns add
-    up to the ``h`` then ``v`` columns of a state, and multiplies their
-    amplitudes bit for bit as Python multiplies complex numbers. The
-    caller keeps each factor's rows distinct and ascending, so the terms
-    are too, and gives every term the same photon count per polarization;
-    neither is checked. The length is the number of terms.
+    int rows, whose dtype the terms keep, and one complex amplitude per
+    row. A term puts one row of each factor side by side, first factor
+    major, so the factors' columns add up to the ``h`` then ``v`` columns
+    of a state, and multiplies their amplitudes bit for bit as Python
+    multiplies complex numbers. The caller keeps each factor's rows
+    distinct and ascending, so the terms are too, and gives every term the
+    same photon count per polarization; neither is checked. The length is
+    the number of terms.
     """
 
     __slots__ = ("factors",)
@@ -178,15 +195,16 @@ class Product:
         complex ``*`` gives other bits than Python's.
         """
         (occ, amps), *rest = self.factors
-        occ, amps = np.asarray(occ, dtype=np.int64), np.asarray(amps, dtype=complex)
+        occ, amps = np.asarray(occ), np.asarray(amps, dtype=complex)
         for table, b in rest:
-            table, b = np.asarray(table, dtype=np.int64), np.asarray(b, dtype=complex)
+            table, b = np.asarray(table), np.asarray(b, dtype=complex)
             ar, ai, br, bi = amps.real[:, None], amps.imag[:, None], b.real, b.imag
             prod = np.empty((len(amps), len(b)), dtype=complex)
             np.subtract(ar * br, ai * bi, out=prod.real)
             np.add(ar * bi, ai * br, out=prod.imag)
             width = occ.shape[1]
-            rows = np.empty((len(occ), len(table), width + table.shape[1]), dtype=np.int64)
+            rows = np.empty((len(occ), len(table), width + table.shape[1]),
+                            dtype=np.result_type(occ, table))
             rows[:, :, :width] = occ[:, None, :]
             rows[:, :, width:] = table[None, :, :]
             occ, amps = rows.reshape(prod.size, -1), prod.ravel()
@@ -203,8 +221,9 @@ class SuperposedState:
 
     The terms are stored as two read-only arrays in ascending tuple order
     of their states: ``occupations``, an int table with one row per term
-    (the ``h`` counts, then the ``v`` counts), and ``amplitudes``, a
-    complex128 vector. :class:`FockState` objects are built only when the
+    (the ``h`` counts, then the ``v`` counts; int8 when built by ``evolve``,
+    whose photon cap keeps counts small), and ``amplitudes``, a complex128
+    vector. :class:`FockState` objects are built only when the
     terms are iterated, listed, looked up, printed or written as a JSON tree.
     """
 
@@ -224,7 +243,7 @@ class SuperposedState:
             if mag.min(initial=math.inf) < AMPLITUDE_PRUNE_TOL:
                 keep = mag >= AMPLITUDE_PRUNE_TOL
                 occ, amps = occ[keep], amps[keep]
-            added = amps.tolist() if require_normalized else ()
+            added = _listed(amps)
         else:
             kept = _kept_terms(terms, n_ports)
             if len({(sum(h), sum(v)) for _, h, v in kept}) > 1:
@@ -243,7 +262,7 @@ class SuperposedState:
         self.n_ports = n_ports
         self.occupations = occ
         self.amplitudes = amps
-        self._index: dict[tuple[int, ...], int] | None = None
+        self._index: dict[bytes, int] | None = None
 
     @property
     def terms(self) -> dict[FockState, complex]:
@@ -255,28 +274,27 @@ class SuperposedState:
     def __iter__(self) -> Iterator[tuple[FockState, complex]]:
         return zip(fock_states(self.n_ports, self.occupations), self.amplitudes.tolist())
 
-    def row_index(self) -> dict[tuple[int, ...], int]:
-        """Row number of each occupation row, as a tuple of its ``h`` then ``v`` counts.
-
-        Built on the first call and kept.
-        """
+    def row_index(self) -> dict[bytes, int]:
+        """Row number of each occupation row, by the row's bytes; built on the first call."""
         if self._index is None:
-            self._index = {row: i for i, row in enumerate(map(tuple, self.occupations.tolist()))}
+            self._index = {key: i for i, key in enumerate(row_keys(self.occupations))}
         return self._index
 
     def amplitude(self, state: FockState) -> complex:
         n_ports, h, v = state
-        i = self.row_index().get(h + v) if n_ports == self.n_ports else None
+        if n_ports != self.n_ports:
+            return 0.0 + 0.0j
+        i = self.row_index().get(np.array(h + v, dtype=np.int64).tobytes())
         return 0.0 + 0.0j if i is None else self.amplitudes[i].item()
 
     def kets(self) -> list[str]:
         """:func:`ket_texts` of the terms, in term order."""
         n = self.n_ports
         # ket_texts zips each row with range(n), so the full row serves as ``h``.
-        return ket_texts((n, row, row[n:]) for row in self.occupations.tolist())
+        return ket_texts((n, row, row[n:]) for row in _listed(self.occupations))
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.tolist())
+        return sum(abs(a) ** 2 for a in _listed(self.amplitudes))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SuperposedState):
@@ -326,7 +344,7 @@ class SuperposedState:
 
         out = []
         sep = "["
-        for row, amp in zip(self.occupations.tolist(), self.amplitudes.tolist()):
+        for row, amp in zip(_listed(self.occupations), _listed(self.amplitudes)):
             out += (sep, state_head)
             occ_sep = "["
             for port, ch, cv in zip(range(n), row, row[n:]):
@@ -350,7 +368,7 @@ class SuperposedState:
         pairs = [json_fields(t, "SuperposedState term", state=object, amp=object) for t in terms]
         amps = linalg.complex_pairs([amp for _, amp in pairs], "SuperposedState amplitudes")
         states = [FockState.from_json_obj(state) for state, _ in pairs]
-        return cls(zip(states, amps), n_ports, require_normalized=require_normalized)
+        return cls(list(zip(states, amps)), n_ports, require_normalized=require_normalized)
 
     def __repr__(self) -> str:
         body = " + ".join(f"({a:.4g}){s}" for s, a in self)
@@ -409,7 +427,7 @@ def target_from_coefficients(coeffs: Sequence[complex], kind: str) -> Superposed
         raise ValueError(f"kind must be 'path' or 'polarization', got {kind!r}")
     # Row k of the table is the term of coefficient k for "path", and of
     # coefficient n-1-k for "polarization", so the rows ascend.
-    one_hot = np.eye(n, dtype=np.int64)
+    one_hot = np.eye(n, dtype=np.int8)
     if kind == "path":
-        return SuperposedState(Product((np.hstack((one_hot[::-1], 0 * one_hot)), c)), n)
+        return SuperposedState(Product((np.hstack((one_hot[::-1], np.zeros_like(one_hot))), c)), n)
     return SuperposedState(Product((np.hstack((1 - one_hot, one_hot)), c[::-1])), n)

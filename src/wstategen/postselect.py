@@ -15,7 +15,7 @@ import numpy as np
 
 from . import jsontext
 from .errors import NumericalError, integer
-from .fock import NORMALIZATION_TOL, FockState, Product, SuperposedState, fock_states
+from .fock import NORMALIZATION_TOL, FockState, Product, SuperposedState, fock_states, row_keys
 
 # Below this a kept weight is treated as exact destructive interference,
 # not renormalizable round-off.
@@ -128,8 +128,8 @@ def fidelity(state: SuperposedState, target: SuperposedState) -> float:
     # only the rows that ``target`` also holds are summed, in term order, from
     # 0j; an empty ``state`` sums nothing and leaves the int 0.
     index = target.row_index()
-    rows = [(i, j) for i, row in enumerate(map(tuple, state.occupations.tolist()))
-            if (j := index.get(row)) is not None]
+    rows = [(i, j) for i, key in enumerate(row_keys(state.occupations))
+            if (j := index.get(key)) is not None]
     amps, target_amps = state.amplitudes.tolist(), target.amplitudes.tolist()
     overlap = sum((target_amps[j].conjugate() * amps[i] for i, j in rows), 0j if amps else 0)
     value = abs(overlap) ** 2
