@@ -147,7 +147,7 @@ _BLOCK = 1024
 
 
 def _listed(a: np.ndarray) -> Iterator:
-    """``iter(a.tolist())``, listed a block of rows at a time so few Python objects live at once."""
+    """``iter(a.tolist())``, listing a block of rows at a time so few Python objects live."""
     for start in range(0, len(a), _BLOCK):
         yield from a[start:start + _BLOCK].tolist()
 
@@ -245,11 +245,24 @@ class SuperposedState:
                 occ, amps = occ[keep], amps[keep]
             added = _listed(amps)
         else:
-            kept = _kept_terms(terms, n_ports)
+            items = terms.items() if isinstance(terms, Mapping) else terms
+            kept: dict[FockState, complex] = {}
+            for state, amp in items:
+                amp = complex(amp)
+                if not cmath.isfinite(amp):
+                    raise ValueError(f"non-finite amplitude for {state}")
+                if abs(amp) < AMPLITUDE_PRUNE_TOL:
+                    continue
+                if state.n_ports != n_ports:
+                    raise ValueError(f"term {state} has {state.n_ports} ports, expected {n_ports}")
+                kept[state] = kept.get(state, 0.0) + amp
             if len({(sum(h), sum(v)) for _, h, v in kept}) > 1:
                 raise ValueError("terms differ in photon count per polarization")
             states = sorted(kept)
-            occ = np.array([h + v for _, h, v in states], dtype=np.int64)
+            try:
+                occ = np.array([h + v for _, h, v in states], dtype=np.int64)
+            except OverflowError:
+                raise ValueError("photon counts must be below 2**63") from None
             occ = occ.reshape(len(states), 2 * n_ports)
             amps = np.array([kept[s] for s in states], dtype=complex)
             added = kept.values()
@@ -284,7 +297,11 @@ class SuperposedState:
         n_ports, h, v = state
         if n_ports != self.n_ports:
             return 0.0 + 0.0j
-        i = self.row_index().get(np.array(h + v, dtype=np.int64).tobytes())
+        try:
+            key = np.array(h + v, dtype=np.int64).tobytes()
+        except OverflowError:  # no term holds 2**63 photons in a mode
+            return 0.0 + 0.0j
+        i = self.row_index().get(key)
         return 0.0 + 0.0j if i is None else self.amplitudes[i].item()
 
     def kets(self) -> list[str]:
@@ -373,23 +390,6 @@ class SuperposedState:
     def __repr__(self) -> str:
         body = " + ".join(f"({a:.4g}){s}" for s, a in self)
         return f"SuperposedState({body or '0'})"
-
-
-def _kept_terms(terms: Mapping[FockState, complex] | Iterable[tuple[FockState, complex]],
-                n_ports: int) -> dict[FockState, complex]:
-    """Map of ``terms`` in the order added: each amplitude pruned, then duplicates added."""
-    items = terms.items() if isinstance(terms, Mapping) else terms
-    kept: dict[FockState, complex] = {}
-    for state, amp in items:
-        amp = complex(amp)
-        if not cmath.isfinite(amp):
-            raise ValueError(f"non-finite amplitude for {state}")
-        if abs(amp) < AMPLITUDE_PRUNE_TOL:
-            continue
-        if state.n_ports != n_ports:
-            raise ValueError(f"term {state} has {state.n_ports} ports, expected {n_ports}")
-        kept[state] = kept.get(state, 0.0) + amp
-    return kept
 
 
 def single_photon_state(port: int, pol: Polarization, n_ports: int) -> FockState:

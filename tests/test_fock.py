@@ -330,6 +330,12 @@ class TestSuperposedState:
         with pytest.raises(ValueError, match="n_ports"):
             SuperposedState([], 0, require_normalized=False)
 
+    def test_counts_past_int64(self):
+        huge = FockState(2, (2**70, 0), (0, 0))
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+            SuperposedState({huge: 1.0}, 2)
+        assert w_state_path(2).amplitude(huge) == 0j
+
     def test_json_round_trip(self):
         state = w_state_polarization(3)
         back = SuperposedState.from_json_obj(state.to_json_obj())

@@ -187,7 +187,8 @@ def test_cases_cover_pruning_signed_zeros_and_long_sums():
         pruned += len(evolve(u, state)) < len(products)
         signed_zero += any(math.copysign(1.0, x) < 0 for z in products for x in (z.real, z.imag)
                            if x == 0.0)
-        long_kept += postselect(evolve(u, state), CoincidencePattern.one_per_port()).kept_terms >= 16
+        kept = postselect(evolve(u, state), CoincidencePattern.one_per_port()).kept_terms
+        long_kept += kept >= 16
     assert pruned >= 5 and signed_zero >= 5 and long_kept >= 5
 
 
