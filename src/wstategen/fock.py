@@ -215,7 +215,8 @@ class SuperposedState:
     """Finite map FockState -> complex amplitude over a fixed port count.
 
     All member states must share the port count and the photon totals per
-    polarization. Amplitudes below ``AMPLITUDE_PRUNE_TOL`` are dropped.
+    polarization. Amplitudes below ``AMPLITUDE_PRUNE_TOL`` are dropped, and so
+    are the sums of a repeated state's amplitudes that fall below it.
     Normalization is enforced unless the owning operation passes
     ``require_normalized=False`` (explicitly-unnormalized intermediates).
 
@@ -224,7 +225,7 @@ class SuperposedState:
     (the ``h`` counts, then the ``v`` counts; int8 when built by ``evolve``,
     whose photon cap keeps counts small), and ``amplitudes``, a complex128
     vector. :class:`FockState` objects are built only when the
-    terms are iterated, listed, looked up, printed or written as a JSON tree.
+    terms are iterated, listed, looked up or printed.
     """
 
     def __init__(self, terms: Mapping[FockState, complex] | Iterable[tuple[FockState, complex]]
@@ -256,6 +257,8 @@ class SuperposedState:
                 if state.n_ports != n_ports:
                     raise ValueError(f"term {state} has {state.n_ports} ports, expected {n_ports}")
                 kept[state] = kept.get(state, 0.0) + amp
+            # A repeated state's amplitudes add up; drop the sums that cancel.
+            kept = {s: a for s, a in kept.items() if abs(a) >= AMPLITUDE_PRUNE_TOL}
             if len({(sum(h), sum(v)) for _, h, v in kept}) > 1:
                 raise ValueError("terms differ in photon count per polarization")
             states = sorted(kept)
@@ -331,15 +334,11 @@ class SuperposedState:
         return jsontext.expand(self.json_frame())
 
     def json_frame(self) -> dict:
-        """:meth:`to_json_obj` with the term list as a :class:`jsontext.Template`."""
-        return {"nPorts": self.n_ports,
-                "terms": jsontext.Template(self._terms_chunks, self._terms_tree)}
-
-    def _terms_tree(self) -> list:
-        return [{"state": s.to_json_obj(), "amp": [amp.real, amp.imag]} for s, amp in self]
+        """:meth:`to_json_obj` with the term list as a :mod:`jsontext` chunk writer."""
+        return {"nPorts": self.n_ports, "terms": self._terms_chunks}
 
     def _terms_chunks(self, depth: int) -> list[str]:
-        """Pieces of the indent-2 JSON text of :meth:`_terms_tree` at nesting ``depth``.
+        """Pieces of the indent-2 JSON text of the term list at nesting ``depth``.
 
         Each piece is a shared constant, a cached port entry or one term's
         short amplitude text, and :func:`jsontext.dumps` joins them once. A

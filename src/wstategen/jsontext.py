@@ -1,38 +1,22 @@
-"""Indented JSON text for reports, with the large lists written from templates.
+"""Indented JSON text for reports, with the large lists written by chunk writers.
 
-A *frame* is a JSON object tree in which some values are :class:`Template`
-lists. :func:`dumps` writes a frame as the exact text of
-``json.dumps(tree, indent=2) + "\\n"``, where ``tree = expand(frame)``: the
-small fields go through ``json.dumps`` one scalar at a time and each
-template writes its own list at the nesting depth where it sits. The
-stdlib's ``indent=`` encoder is pure Python before CPython 3.14, so
-building and walking a tree of one dict per Fock-state term costs several
-times more than the run that made the terms.
+A *frame* is a JSON object tree in which some values are chunk writers:
+callables ``chunks(depth)`` returning the pieces of the text of one large
+list at nesting ``depth`` as the indent-2 encoder writes it: items at indent
+``depth + 1``, the closing bracket at ``depth``, and ``[]`` when empty.
+:func:`dumps` writes a frame, the small fields through ``json.dumps`` one
+scalar at a time; the JSON tree of a frame is the parse of that text. The
+stdlib's ``indent=`` encoder is pure Python before CPython 3.14, so building
+and walking a tree of one dict per Fock-state term costs several times more
+than the run that made the terms.
 """
 from __future__ import annotations
 
 import json
-from typing import Callable
-
-
-class Template:
-    """A large JSON list: ``chunks(depth)`` writes it, ``tree()`` builds it.
-
-    ``chunks(depth)`` returns strings whose concatenation is what the
-    indent-2 encoder writes for ``tree()`` when the list is a value at
-    nesting ``depth``: items at indent ``depth + 1``, the closing bracket
-    at ``depth``, and ``[]`` for an empty list.
-    """
-
-    __slots__ = ("chunks", "tree")
-
-    def __init__(self, chunks: Callable[[int], list[str]], tree: Callable[[], list]):
-        self.chunks = chunks
-        self.tree = tree
 
 
 def dumps(frame) -> str:
-    """``json.dumps(expand(frame), indent=2) + "\\n"``, without building the large lists."""
+    """The indent-2 JSON text of ``frame`` plus a newline, each chunk writer writing its list."""
     out: list[str] = []
     _write(frame, 0, out)
     out.append("\n")
@@ -41,8 +25,8 @@ def dumps(frame) -> str:
 
 def _write(obj, depth: int, out: list[str]) -> None:
     """Append the pieces of the text of ``obj`` at nesting ``depth`` to ``out``."""
-    if isinstance(obj, Template):
-        out += obj.chunks(depth)
+    if callable(obj):
+        out += obj(depth)
         return
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         out.append(json.dumps(obj))  # a scalar, {} or []
@@ -62,11 +46,5 @@ def _write(obj, depth: int, out: list[str]) -> None:
 
 
 def expand(frame):
-    """The plain JSON tree of a frame: every template replaced by its list."""
-    if isinstance(frame, Template):
-        return frame.tree()
-    if isinstance(frame, dict):
-        return {k: expand(v) for k, v in frame.items()}
-    if isinstance(frame, (list, tuple)):
-        return [expand(v) for v in frame]
-    return frame
+    """The JSON tree of a frame: the parse of its text."""
+    return json.loads(dumps(frame))

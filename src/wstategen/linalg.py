@@ -18,7 +18,7 @@ from itertools import chain, permutations
 import numpy as np
 
 from . import jsontext
-from .errors import json_fields, size
+from .errors import CapacityError, json_fields, size
 
 UNITARITY_TOL = 1e-10
 
@@ -72,16 +72,17 @@ def verify_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
 def permanent(m: np.ndarray) -> complex:
     """Permanent of a square complex matrix via Ryser's formula with Gray-code updates.
 
-    O(2^k * k) time and O(2^14 * k) memory for a k x k matrix, k capped at
-    ``PERMANENT_SIZE_CAP``. The steps run in numpy chunks that add up in the
-    sequential Gray-code order, so results are bit-identical to a step loop.
+    O(2^k * k) time and O(2^14 * k) memory for a k x k matrix; k above
+    ``PERMANENT_SIZE_CAP`` raises :class:`CapacityError`. The steps run in
+    numpy chunks that add up in the sequential Gray-code order, so results
+    are bit-identical to a step loop.
     """
     a = square(m)
     n = a.shape[0]
     if n == 0:
         raise ValueError("the permanent needs a non-empty matrix")
     if n > PERMANENT_SIZE_CAP:
-        raise ValueError(f"matrix size {n} exceeds permanent cap {PERMANENT_SIZE_CAP}")
+        raise CapacityError(f"matrix size {n} exceeds permanent cap {PERMANENT_SIZE_CAP}")
     if n == 1:
         # The single step of the chunked form, written out: same bits, no arrays.
         return -(0j - (0j + complex(a[0, 0])))
@@ -169,7 +170,7 @@ def complete_unitary_from_column(target: np.ndarray) -> np.ndarray:
 
 def write_matrix(path: str | os.PathLike, m: np.ndarray) -> None:
     """Write a square finite complex matrix as JSON with row-major [re, im] entries."""
-    text = jsontext.dumps(matrix_json_frame(square(m)))
+    text = jsontext.dumps(matrix_json_frame(m))
     with open(path, "w") as f:
         f.write(text)
 
@@ -179,14 +180,9 @@ def matrix_to_json_obj(m: np.ndarray) -> dict:
 
 
 def matrix_json_frame(m: np.ndarray) -> dict:
-    """:func:`matrix_to_json_obj` with the entry list as a :class:`jsontext.Template`."""
-    a = np.asarray(m, dtype=complex)
-
-    def tree() -> list:
-        return [[float(z.real), float(z.imag)] for z in a.ravel()]
-
-    return {"n": a.shape[0],
-            "entries": jsontext.Template(functools.partial(_entries_chunks, a), tree)}
+    """:func:`matrix_to_json_obj` with the entry list as a :mod:`jsontext` chunk writer."""
+    a = square(m)
+    return {"n": a.shape[0], "entries": functools.partial(_entries_chunks, a)}
 
 
 def _entries_chunks(a: np.ndarray, depth: int) -> list[str]:

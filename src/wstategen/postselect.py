@@ -75,7 +75,7 @@ class PostSelectionResult:
         return jsontext.expand(self.json_frame())
 
     def json_frame(self) -> dict:
-        """:meth:`to_json_obj` with the conditional's term list as a template."""
+        """:meth:`to_json_obj` with the conditional's term list as a chunk writer."""
         return {
             "probability": self.probability,
             "droppedProbability": self.dropped_probability,

@@ -57,7 +57,7 @@ class SchemeReport:
         return jsontext.expand(self.json_frame())
 
     def json_frame(self) -> dict:
-        """:meth:`to_json_obj` with the matrix entries and term lists as templates."""
+        """:meth:`to_json_obj` with the matrix entries and term lists as chunk writers."""
         obj = {
             "schemeKind": self.scheme_kind,
             "n": self.n,

@@ -199,8 +199,9 @@ class TestFockStateValue:
 def _mixed_terms(seed: int) -> list[tuple[FockState, complex]]:
     """Normalized shuffled terms over 3 ports with 2 H and 1 V photons.
 
-    Two states appear twice (their amplitudes add), and four more carry an
-    exact zero or an amplitude below the prune tolerance.
+    Two states appear twice (their amplitudes add), one more appears twice
+    with amplitudes that cancel, and four more carry an exact zero or an
+    amplitude below the prune tolerance.
     """
     rng = np.random.default_rng(seed)
     states = [FockState(3, h, v) for h in [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0),
@@ -215,6 +216,7 @@ def _mixed_terms(seed: int) -> list[tuple[FockState, complex]]:
         terms[i] = (state, (1 - part) * amp)
         terms.append((state, part * amp))
     terms += [(states[14], 0j), (states[15], 0.0), (states[16], 3e-13), (states[17], -7e-13j)]
+    terms += [(states[15], 0.03 - 0.01j), (states[15], -0.03 + 0.01j)]
     rng.shuffle(terms)
     return terms
 

@@ -1,7 +1,11 @@
 """Templated report JSON must be byte-identical to the stdlib indent encoder.
 
-The reference is the tree-plus-encoder path the package used to write:
-``json.dumps(obj.to_json_obj(), indent=2) + "\\n"``.
+The reference is ``json.dumps(tree, indent=2) + "\\n"`` for a tree built
+here from public reads only: ``FockState.to_json_obj()`` and ``[amp.real,
+amp.imag]`` of each iterated term of a state, ``float`` of the parts of
+each flattened matrix entry, and the fields of a post-selection result or
+report. ``to_json_obj()`` is the parse of the package's text, so each
+fixture's tree must also equal its reference tree.
 """
 import io
 import json
@@ -14,7 +18,7 @@ import pytest
 from wstategen import jsontext, linalg
 from wstategen.cli import main
 from wstategen.fock import FockState, SuperposedState
-from wstategen.postselect import CoincidencePattern, postselect
+from wstategen.postselect import CoincidencePattern, PostSelectionResult, postselect
 from wstategen.schemes import SchemeReport, run_designed_path, run_path_w, run_polarization_w
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1 + 0.2, 1e308, -1e308, 1.0, -1.0]
@@ -22,6 +26,42 @@ EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1 + 0.2, 1e308, -1e308,
 
 def _reference_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _state_tree(state: SuperposedState) -> dict:
+    return {"nPorts": state.n_ports,
+            "terms": [{"state": s.to_json_obj(), "amp": [amp.real, amp.imag]}
+                      for s, amp in state]}
+
+
+def _matrix_tree(m: np.ndarray) -> dict:
+    a = np.asarray(m, dtype=complex)
+    return {"n": a.shape[0], "entries": [[float(z.real), float(z.imag)] for z in a.ravel()]}
+
+
+def _result_tree(result: PostSelectionResult) -> dict:
+    return {"probability": result.probability,
+            "droppedProbability": result.dropped_probability,
+            "keptTerms": result.kept_terms,
+            "conditional": _state_tree(result.conditional)}
+
+
+def _report_tree(report: SchemeReport) -> dict:
+    tree = {"schemeKind": report.scheme_kind,
+            "n": report.n,
+            "unitaryUsed": _matrix_tree(report.unitary_used),
+            "outputState": _state_tree(report.output_state),
+            "postSelection": (_result_tree(report.post_selection)
+                              if report.post_selection else None),
+            "fidelityToTarget": report.fidelity_to_target,
+            "successProbability": report.success_probability}
+    if report.port_probabilities is not None:
+        tree["portProbabilities"] = list(report.port_probabilities)
+    if report.probability_uniform is not None:
+        tree["probabilityUniform"] = report.probability_uniform
+    if report.reference_note is not None:
+        tree["referenceNote"] = report.reference_note
+    return tree
 
 
 def _random_state(rng: random.Random, n_ports: int, photons: tuple[int, int],
@@ -77,7 +117,9 @@ def _matrices() -> list[np.ndarray]:
 
 @pytest.mark.parametrize("state", _states(), ids=lambda s: f"{s.n_ports}ports-{len(s)}terms")
 def test_state_text_matches_indent_encoder(state):
-    assert jsontext.dumps(state.json_frame()) == _reference_text(state.to_json_obj())
+    reference = _state_tree(state)
+    assert jsontext.dumps(state.json_frame()) == _reference_text(reference)
+    assert state.to_json_obj() == reference
 
 
 def _written_floats(text: str) -> set[str]:
@@ -85,7 +127,7 @@ def _written_floats(text: str) -> set[str]:
 
 
 def test_edge_values_reach_the_templates():
-    """Every edge float is written by a template; -0.0 only by the matrix one,
+    """Every edge float is written by a chunk writer; -0.0 only by the matrix one,
     because a state adds each amplitude to 0.0 on construction, which makes -0.0 0.0."""
     edges = {float.__repr__(x) for x in EDGE_FLOATS}
     state_text = jsontext.dumps(_edge_state().json_frame())
@@ -96,8 +138,10 @@ def test_edge_values_reach_the_templates():
 
 @pytest.mark.parametrize("m", _matrices(), ids=lambda m: f"{m.shape[0]}x{m.shape[0]}")
 def test_matrix_text_matches_indent_encoder(m, tmp_path):
-    expected = _reference_text(linalg.matrix_to_json_obj(m))
+    reference = _matrix_tree(m)
+    expected = _reference_text(reference)
     assert jsontext.dumps(linalg.matrix_json_frame(m)) == expected
+    assert linalg.matrix_to_json_obj(m) == reference
     path = tmp_path / "m.json"
     linalg.write_matrix(path, m)
     assert path.read_text() == expected
@@ -106,8 +150,22 @@ def test_matrix_text_matches_indent_encoder(m, tmp_path):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
 def test_write_matrix_rejects_non_finite_entries(bad, tmp_path):
     path = tmp_path / "m.json"
+    m = np.array([[1.0, 0.0], [0.0, bad]])
     with pytest.raises(ValueError, match="non-finite"):
-        linalg.write_matrix(path, np.array([[1.0, 0.0], [0.0, bad]]))
+        linalg.write_matrix(path, m)
+    assert not path.exists()
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.matrix_to_json_obj(m)
+
+
+@pytest.mark.parametrize("m", [np.ones((2, 3)), np.array([1.0, 2.0])], ids=["2x3", "vector"])
+def test_matrix_json_refuses_non_square_arrays(m, tmp_path):
+    """The tree, the text and the file refuse what ``matrix_from_json_obj`` cannot read."""
+    path = tmp_path / "m.json"
+    for write in (linalg.matrix_to_json_obj, linalg.matrix_json_frame,
+                  lambda a: linalg.write_matrix(path, a)):
+        with pytest.raises(ValueError, match="not square"):
+            write(m)
     assert not path.exists()
 
 
@@ -134,15 +192,30 @@ def _reports() -> list[SchemeReport]:
 
 @pytest.mark.parametrize("report", _reports(), ids=lambda r: f"{r.scheme_kind}-{r.n}")
 def test_report_text_matches_indent_encoder(report):
-    assert report.to_json() == _reference_text(report.to_json_obj())
+    reference = _report_tree(report)
+    assert report.to_json() == _reference_text(reference)
+    assert report.to_json_obj() == reference
+
+
+@pytest.mark.parametrize("result", [r.post_selection for r in _reports() if r.post_selection],
+                         ids=lambda r: f"{r.kept_terms}kept")
+def test_post_selection_text_matches_indent_encoder(result):
+    reference = _result_tree(result)
+    assert jsontext.dumps(result.json_frame()) == _reference_text(reference)
+    assert result.to_json_obj() == reference
 
 
 def test_templates_indent_by_nesting_depth():
     state = _random_state(random.Random(9), 3, (2, 1), 4)
+    empty = SuperposedState({}, 1, require_normalized=False)
+    scalars = [None, True, "x", 3, -0.0, (1, [2])]
     frame = {"a": [{"b": state.json_frame()}, [linalg.matrix_json_frame(np.eye(2))]],
-             "empty": [SuperposedState({}, 1, require_normalized=False).json_frame(), {}, ()],
-             "scalars": [None, True, "x", 3, -0.0, (1, [2])]}
-    assert jsontext.dumps(frame) == _reference_text(jsontext.expand(frame))
+             "empty": [empty.json_frame(), {}, ()],
+             "scalars": scalars}
+    reference = {"a": [{"b": _state_tree(state)}, [_matrix_tree(np.eye(2))]],
+                 "empty": [_state_tree(empty), {}, ()],
+                 "scalars": scalars}
+    assert jsontext.dumps(frame) == _reference_text(reference)
 
 
 @pytest.mark.parametrize("argv", [

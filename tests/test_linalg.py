@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wstategen import linalg
+from wstategen.errors import CapacityError
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 
@@ -200,7 +201,7 @@ class TestPermanent:
             linalg.permanent(np.ones((2, 3)))
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError):
             linalg.permanent(np.eye(25))
 
 
