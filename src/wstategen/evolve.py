@@ -48,25 +48,20 @@ def lift_to_modes(u: np.ndarray) -> np.ndarray:
 
 
 def _sector_amplitudes(u: np.ndarray, occ_in: tuple[int, ...], outputs: Iterable[Sequence[int]]
-                       ) -> Iterator[tuple[tuple[int, ...], complex]]:
-    """(occ_out, <occ_out|U|occ_in>) for photons of one polarization, per output pattern.
+                       ) -> Iterator[complex]:
+    """<occ_out|U|occ_in> for photons of one polarization, per output pattern.
 
     Each pattern in ``outputs`` is the sorted list of its photons' ports,
     one entry per photon, which is also the row list of its permanent.
     """
-    n = len(occ_in)
     cols = u[:, [p for p, c in enumerate(occ_in) for _ in range(c)]]
     in_norm = math.prod(map(math.factorial, occ_in))
     for ports in outputs:
-        occ_out = [0] * n
-        for p in ports:
-            occ_out[p] += 1
-        occ_out = tuple(occ_out)
         if not ports:
-            yield occ_out, 1.0 + 0.0j
+            yield 1.0 + 0.0j
             continue
-        out_norm = math.prod(map(math.factorial, occ_out))
-        yield occ_out, permanent(cols[list(ports)]) / math.sqrt(in_norm * out_norm)
+        out_norm = math.prod(map(math.factorial, map(ports.count, set(ports))))
+        yield permanent(cols[list(ports)]) / math.sqrt(in_norm * out_norm)
 
 
 def _check_transition_caps(input_state: FockState) -> None:
@@ -104,7 +99,7 @@ def transition_amplitude(u: np.ndarray, input_state: FockState,
 
     def sector(occ_in: tuple[int, ...], occ_out: tuple[int, ...]) -> complex:
         ports = [p for p, c in enumerate(occ_out) for _ in range(c)]
-        return next(_sector_amplitudes(u, occ_in, [ports]))[1]
+        return next(_sector_amplitudes(u, occ_in, [ports]))
 
     return sector(input_state.h, output_state.h) * sector(input_state.v, output_state.v)
 
@@ -124,11 +119,13 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
 
     sectors = []
     for occ_in in (input_state.h, input_state.v):
-        patterns = combinations_with_replacement(range(n), sum(occ_in))
-        occs, amps = zip(*_sector_amplitudes(u, occ_in, patterns))
-        # The patterns come in descending occupation order; the terms go in
-        # ascending. Counts are at most PHOTON_CAP, so int8 holds them.
-        sectors.append((np.array(occs[::-1], dtype=np.int8), amps[::-1]))
+        # The patterns come in descending occupation order; the terms go in ascending.
+        patterns = list(combinations_with_replacement(range(n), sum(occ_in)))[::-1]
+        ports = np.array(patterns, dtype=np.intp, ndmin=2)  # 2-D for the photon-free () too
+        # Add one photon per (pattern, port) entry; counts are at most PHOTON_CAP.
+        occs = np.zeros((len(patterns), n), dtype=np.int8)
+        np.add.at(occs, (np.arange(len(patterns))[:, None], ports), 1)
+        sectors.append((occs, list(_sector_amplitudes(u, occ_in, patterns))))
     return SuperposedState(Product(*sectors), n)
 
 

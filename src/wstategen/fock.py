@@ -142,7 +142,7 @@ def ket_texts(states: Iterable[FockState]) -> list[str]:
     return kets
 
 
-# Rows per ``tolist`` call when a whole table is read row by row.
+# Rows per ``tolist`` call when a whole table is read row by row or written as JSON.
 _BLOCK = 1024
 
 
@@ -340,41 +340,64 @@ class SuperposedState:
     def _terms_chunks(self, depth: int) -> list[str]:
         """Pieces of the indent-2 JSON text of the term list at nesting ``depth``.
 
-        Each piece is a shared constant, a cached port entry or one term's
-        short amplitude text, and :func:`jsontext.dumps` joins them once. A
-        string per term is too large for Python's small-object allocator,
-        and the heap it leaves behind raised the benchmark's peak RSS.
+        Each piece is a shared constant, the cached ``occ`` entries of one port
+        or the ``repr`` of one amplitude part. None is a string per term: those
+        miss Python's small-object allocator, and their leftover heap raised
+        the benchmark's peak RSS. Numpy keys the occupied ports of ``_BLOCK``
+        rows at a time, which bounds the arrays and lists alive at once, and
+        Python then takes one step per row, none per port.
         """
         if not len(self):
             return ["[]"]
-        n = self.n_ports
+        n, table = self.n_ports, self.occupations
         i0, i1, i2, i3, i4, i5 = ("\n" + "  " * (depth + k) for k in range(6))
+        term_end = f"{i2}]{i1}}}"
         state_head = f'{i1}{{{i2}"state": {{{i3}"nPorts": {n},{i3}"occ": '
-        occ_close = f"{i3}]"
         amp_head = f'{i2}}},{i2}"amp": [{i3}'
-        # The occ entries of one port, by (port, H count, V count); few distinct keys.
-        port_text: dict[tuple[int, int, int], str] = {}
+        head, sep = f"{term_end},{state_head}", f",{i3}"
+        closes = (f"[]{amp_head}", f"{i3}]{amp_head}")  # by whether the row has photons
+        # An occ entry's key is ((port * k + H count) * k + V count) * 2, plus 1
+        # if it opens its row's list; counts too large for that are keyed by rank.
+        counts = range(int(table.max()) + 1)  # the count of each rank
+        if 2 * n * len(counts) ** 2 >= 2**63:
+            counts = np.unique(np.append(table, 0))
+            table = np.searchsorted(counts, table)
+        k, pieces = len(counts), {}
+        weights, port_keys = np.array([2 * k, 2]), np.arange(n, dtype=np.int64) * (2 * k * k)
 
-        def entry(port: int, pol: str, count: int) -> str:
-            return f'{i4}{{{i5}"port": {port},{i5}"pol": "{pol}",{i5}"count": {count}{i4}}}'
+        def piece(key: int) -> str:
+            port, rest = divmod(key >> 1, k * k)
+            ch, cv = divmod(rest, k)
+            mode = f'{i4}{{{i5}"port": {port},{i5}"pol": '
+            text = f'{mode}"H",{i5}"count": {counts[ch]}{i4}}}' if ch else ""
+            if cv:
+                text += f'{"," if ch else ""}{mode}"V",{i5}"count": {counts[cv]}{i4}}}'
+            return ("[" if key & 1 else ",") + text
 
-        out = []
-        sep = "["
-        for row, amp in zip(_listed(self.occupations), _listed(self.amplitudes)):
-            out += (sep, state_head)
-            occ_sep = "["
-            for port, ch, cv in zip(range(n), row, row[n:]):
-                if ch or cv:
-                    key = (port, ch, cv)
-                    if key not in port_text:
-                        port_text[key] = ",".join(
-                            entry(port, pol, c) for pol, c in (("H", ch), ("V", cv)) if c)
-                    out += (occ_sep, port_text[key])
-                    occ_sep = ","
-            out += ("[]" if occ_sep == "[" else occ_close,
-                    f"{amp_head}{amp.real!r},{i3}{amp.imag!r}{i2}]{i1}}}")
-            sep = ","
-        out.append(f"{i0}]")
+        out = ["[" + state_head]
+        for start in range(0, len(table), _BLOCK):
+            occ, amps = table[start:start + _BLOCK], self.amplitudes[start:start + _BLOCK]
+            key = weights @ occ.reshape(len(occ), 2, n)  # 2 * (H * k + V) by (row, port)
+            flat = key.ravel().nonzero()[0]  # the occupied ports, row-major
+            key += port_keys
+            key = key.ravel()[flat]
+            rows = flat // n
+            key[1:] += rows[1:] != rows[:-1]
+            keys = key.tolist()
+            if keys:
+                keys[0] += 1  # a block starts at a row
+            for new in set(keys).difference(pieces):
+                pieces[new] = piece(new)
+            entries = list(map(pieces.__getitem__, keys))
+            parts = map(repr, amps.view(np.float64).tolist())
+            end = 0
+            # Per row: its entries, its occ close, re, sep and im, and the next row's head.
+            for width, real, imag in zip(np.bincount(rows, minlength=len(occ)).tolist(),
+                                         parts, parts):
+                out += entries[end:end + width]
+                out += (closes[width > 0], real, sep, imag, head)
+                end += width
+        out[-1] = f"{term_end}{i0}]"
         return out
 
     @classmethod

@@ -126,6 +126,10 @@ def _cases() -> dict:
         cases[f"cli-evolve-dft5-bunched-{fmt}"] = lambda f=fmt: _evolve_text(f)
         cases[f"cli-evolve-design6-bunched-{fmt}"] = lambda f=fmt: _evolve_text(
             f, 6, EVOLVE_DESIGN6_INPUT, DESIGN6_TARGET)
+    # Two-digit ports in the "occ" entries of the term list.
+    cases["cli-path-w-n12-port5-json"] = lambda: _cli_text(
+        ["path-w", "--n", "12", "--input-port", "5", "--format", "json"])
+    cases["cli-polar-w-n6-json"] = lambda: _cli_text(["polar-w", "--n", "6", "--format", "json"])
     for fmt in ("csv", "table"):
         cases[f"cli-evolve-dft4-bunched-{fmt}"] = lambda f=fmt: _evolve_text(
             f, 4, EVOLVE_DFT4_INPUT)

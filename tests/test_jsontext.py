@@ -17,7 +17,8 @@ import pytest
 
 from wstategen import jsontext, linalg
 from wstategen.cli import main
-from wstategen.fock import FockState, SuperposedState
+from wstategen.evolve import evolve
+from wstategen.fock import _BLOCK, FockState, Product, SuperposedState
 from wstategen.postselect import CoincidencePattern, PostSelectionResult, postselect
 from wstategen.schemes import SchemeReport, run_designed_path, run_path_w, run_polarization_w
 
@@ -89,10 +90,24 @@ def _edge_state() -> SuperposedState:
     return SuperposedState(dict(zip(states, amps)), 3, require_normalized=False)
 
 
+def _table_state(rows: list[list[int]], seed: int) -> SuperposedState:
+    """Unnormalized state of the given occupation rows, which ``Product`` does not check
+    for order or equal photon totals, so vacuum rows may follow occupied ones."""
+    rng = random.Random(seed)
+    amps = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in rows]
+    table = np.array(rows, dtype=np.int64)
+    return SuperposedState(Product((table, amps)), table.shape[1] // 2, require_normalized=False)
+
+
 def _states() -> list[SuperposedState]:
     rng = random.Random(20020826)
     states = [_random_state(rng, rng.randint(1, 6), (rng.randint(0, 4), rng.randint(0, 3)),
                             rng.randint(1, 12)) for _ in range(40)]
+    # A bunched DFT_5 input: evolve gives an int8 table.
+    bunched = FockState(5, (2, 0, 1, 0, 0), (0, 1, 0, 1, 0))
+    evolved = evolve(linalg.dft_multiport(5), bunched)
+    assert evolved.occupations.dtype == np.int8
+    occupied = [[i % 5 + 1, i // 5, 0, 1] for i in range(_BLOCK + 3)]
     states += [
         _edge_state(),
         _random_state(rng, 1, (12, 10), 1),  # one port, counts >= 10
@@ -100,6 +115,27 @@ def _states() -> list[SuperposedState]:
         SuperposedState({FockState(4, (0,) * 4, (0,) * 4): 1.0}, 4),  # "occ": []
         SuperposedState({}, 2, require_normalized=False),  # "terms": []
         SuperposedState({}, 1, require_normalized=False),
+        # Two-digit ports.
+        _random_state(rng, 10, (3, 2), 15),
+        _random_state(rng, 13, (5, 0), 12),
+        _random_state(rng, 16, (4, 3), 20),
+        # Counts >= 10 on two or more ports, in both polarizations.
+        SuperposedState({FockState(4, (10, 0, 12, 0), (0, 11, 0, 10)): 0.6,
+                         FockState(4, (12, 10, 0, 0), (10, 0, 0, 11)): 0.8j}, 4),
+        _random_state(rng, 3, (30, 25), 6),
+        # Only V photons in every row.
+        _random_state(rng, 5, (0, 4), 10),
+        # Counts too large to key by value, so the writer keys their ranks.
+        SuperposedState({FockState(2, (2**62, 5), (0, 2**40)): 0.6,
+                         FockState(2, (5, 2**62), (2**40, 0)): 0.8}, 2),
+        # Vacuum rows after occupied ones, and one opening the second block.
+        _table_state([[0, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1], [0, 0, 0, 0]], 1),
+        _table_state(occupied[:_BLOCK] + [[0, 0, 0, 0]] + occupied[_BLOCK:], 2),
+        evolved,
+        # A row-masked copy of the int8 table.
+        postselect(evolved, CoincidencePattern.one_per_port()).conditional,
+        # More rows than one block: int8, one V photon.
+        run_polarization_w(6).output_state,
     ]
     return states
 

@@ -42,9 +42,11 @@ def _reference_terms(terms, n_ports: int) -> dict:
 
 def _reference_evolve(u: np.ndarray, state: FockState) -> dict:
     n = state.n_ports
-    per_pol = [list(_sector_amplitudes(u, occ_in, combinations_with_replacement(range(n),
-                                                                                sum(occ_in))))
-               for occ_in in (state.h, state.v)]
+    per_pol = []
+    for occ_in in (state.h, state.v):
+        patterns = list(combinations_with_replacement(range(n), sum(occ_in)))
+        occs = [tuple(ports.count(p) for p in range(n)) for ports in patterns]
+        per_pol.append(list(zip(occs, _sector_amplitudes(u, occ_in, patterns))))
     return _reference_terms(((FockState(n, occ_h, occ_v), amp_h * amp_v)
                              for (occ_h, amp_h), (occ_v, amp_v) in product(*per_pol)), n)
 
@@ -180,8 +182,8 @@ def test_cases_cover_pruning_signed_zeros_and_long_sums():
     pruned = signed_zero = long_kept = 0
     for n, coupler, name in CASES:
         u, state = _couplers(n)[coupler], _inputs(n)[name]
-        per_pol = [[amp for _, amp in _sector_amplitudes(
-            u, occ_in, combinations_with_replacement(range(n), sum(occ_in)))]
+        per_pol = [list(_sector_amplitudes(
+            u, occ_in, combinations_with_replacement(range(n), sum(occ_in))))
             for occ_in in (state.h, state.v)]
         products = [a * b for a, b in product(*per_pol)]
         pruned += len(evolve(u, state)) < len(products)
