@@ -65,6 +65,26 @@ EVOLVE_DESIGN6_INPUT = {
     ],
 }
 
+# One H photon at port 3 and one V photon at port 10 of DFT_12: 12 x 12 = 144
+# terms whose kets hold two-digit ports.
+EVOLVE_DFT12_INPUT = {
+    "nPorts": 12,
+    "occ": [
+        {"port": 3, "pol": "H", "count": 1},
+        {"port": 10, "pol": "V", "count": 1},
+    ],
+}
+
+# Ten H photons at port 0 and one V photon at port 1 of DFT_2: 11 x 2 = 22
+# terms whose kets hold two-digit counts such as H0^10.
+EVOLVE_DFT2_INPUT = {
+    "nPorts": 2,
+    "occ": [
+        {"port": 0, "pol": "H", "count": 10},
+        {"port": 1, "pol": "V", "count": 1},
+    ],
+}
+
 
 def _cli_text(argv: list[str]) -> str:
     stream = io.StringIO()
@@ -133,6 +153,11 @@ def _cases() -> dict:
     for fmt in ("csv", "table"):
         cases[f"cli-evolve-dft4-bunched-{fmt}"] = lambda f=fmt: _evolve_text(
             f, 4, EVOLVE_DFT4_INPUT)
+        # 144 kets with two-digit ports, and 22 kets with ^10 counts.
+        cases[f"cli-evolve-dft12-h3v10-{fmt}"] = lambda f=fmt: _evolve_text(
+            f, 12, EVOLVE_DFT12_INPUT)
+        cases[f"cli-evolve-dft2-h10v1-{fmt}"] = lambda f=fmt: _evolve_text(
+            f, 2, EVOLVE_DFT2_INPUT)
     return cases
 
 
