@@ -3,7 +3,7 @@
 A mode is a (spatial port, polarization) pair. A :class:`FockState` is the
 named tuple ``(n_ports, h, v)`` of a port count and two per-port occupation
 vectors, one for H photons and one for V photons. The sorted (mode, count)
-view ``FockState.occ`` is derived from them for the JSON and text forms. A
+view ``FockState.occ`` is derived from them for the JSON form. A
 :class:`SuperposedState` is a finite map from Fock states to complex
 amplitudes, kept in tuple order of its states as an occupation table and an
 amplitude vector, which evolution and post-selection fill and read as arrays.
@@ -17,7 +17,7 @@ import cmath
 import enum
 import math
 import operator
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -114,35 +114,20 @@ class FockState(NamedTuple):
         return cls.from_counts((((port, pol), count) for port, pol, count in entries), n_ports)
 
     def __str__(self) -> str:
-        return ket_texts([self])[0]
+        """The text ket, e.g. ``|H0^2 V0 V3>``, or ``|vac;n>`` for the vacuum."""
+        pieces = [_ket_piece(port, ch, cv, True)
+                  for port, (ch, cv) in enumerate(zip(self.h, self.v)) if ch or cv]
+        return f"|{' '.join(pieces)}>" if pieces else f"|vac;{self.n_ports}>"
 
 
-class _KetPieces(dict):
-    """Ket text of one port, by (port, H count, V count); "" for an empty port."""
-
-    def __missing__(self, key: tuple[int, int, int]) -> str:
-        port, ch, cv = key
-        text = self[key] = " ".join(
-            f"{pol}{port}" + (f"^{c}" if c > 1 else "") for pol, c in (("H", ch), ("V", cv)) if c)
-        return text
+def _ket_piece(port: int, ch: int, cv: int, first: bool) -> str:
+    """Ket text of one occupied port; all but the first of a ket start with a space."""
+    text = " ".join(f"{pol}{port}" + (f"^{c}" if c > 1 else "")
+                    for pol, c in (("H", ch), ("V", cv)) if c)
+    return text if first else " " + text
 
 
-def ket_texts(states: Iterable[FockState]) -> list[str]:
-    """Text kets of ``states``, e.g. ``|H0^2 V0 V3>``, or ``|vac;n>`` for the vacuum.
-
-    Modes appear by port, H before V, with ``^c`` for a count c > 1. Each
-    ket joins per-port pieces cached by (port, H count, V count), which a
-    list of many states shares, so no ``occ`` view is built.
-    """
-    pieces = _KetPieces()
-    kets = []
-    for n_ports, h, v in states:
-        text = " ".join(filter(None, map(pieces.__getitem__, zip(range(n_ports), h, v))))
-        kets.append(f"|{text}>" if text else f"|vac;{n_ports}>")
-    return kets
-
-
-# Rows per ``tolist`` call when a whole table is read row by row or written as JSON.
+# Rows per ``tolist`` call when a whole table is read row by row or written as text.
 _BLOCK = 1024
 
 
@@ -150,6 +135,40 @@ def _listed(a: np.ndarray) -> Iterator:
     """``iter(a.tolist())``, listing a block of rows at a time so few Python objects live."""
     for start in range(0, len(a), _BLOCK):
         yield from a[start:start + _BLOCK].tolist()
+
+
+def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool], str]
+                ) -> Iterator[tuple[list[str], list[int]]]:
+    """Per ``_BLOCK`` rows: the texts of the occupied ports, row-major, and their count per row.
+
+    ``piece(port, H count, V count, first)`` is the text of one port, ``first``
+    if it opens its row; it is called once per distinct argument tuple. Numpy
+    keys the ports a block at a time, so Python takes no step per port.
+    """
+    # A port's key is ((port * k + H count) * k + V count) * 2, plus 1 if it
+    # opens its row; counts too large for that are keyed by rank.
+    counts = range(int(table.max(initial=0)) + 1)  # the count of each rank
+    if 2 * n * len(counts) ** 2 >= 2**63:
+        counts = np.unique(np.append(table, 0))
+        table = np.searchsorted(counts, table)
+    k, texts = len(counts), {}
+    weights, port_keys = np.array([2 * k, 2]), np.arange(n, dtype=np.int64) * (2 * k * k)
+    for start in range(0, len(table), _BLOCK):
+        occ = table[start:start + _BLOCK]
+        key = weights @ occ.reshape(len(occ), 2, n)  # 2 * (H * k + V) by (row, port)
+        flat = key.ravel().nonzero()[0]  # the occupied ports, row-major
+        key += port_keys
+        key = key.ravel()[flat]
+        rows = flat // n
+        key[1:] += rows[1:] != rows[:-1]
+        keys = key.tolist()
+        if keys:
+            keys[0] += 1  # a block starts at a row
+        for new in set(keys).difference(texts):
+            port, rest = divmod(new >> 1, k * k)
+            ch, cv = divmod(rest, k)
+            texts[new] = piece(port, counts[ch], counts[cv], bool(new & 1))
+        yield list(map(texts.__getitem__, keys)), np.bincount(rows, minlength=len(occ)).tolist()
 
 
 def row_keys(table: np.ndarray) -> list[bytes]:
@@ -215,8 +234,8 @@ class SuperposedState:
     """Finite map FockState -> complex amplitude over a fixed port count.
 
     All member states must share the port count and the photon totals per
-    polarization. Amplitudes below ``AMPLITUDE_PRUNE_TOL`` are dropped, and so
-    are the sums of a repeated state's amplitudes that fall below it.
+    polarization. A repeated state's amplitudes add up, and the amplitudes
+    and sums below ``AMPLITUDE_PRUNE_TOL`` are dropped.
     Normalization is enforced unless the owning operation passes
     ``require_normalized=False`` (explicitly-unnormalized intermediates).
 
@@ -224,30 +243,17 @@ class SuperposedState:
     of their states: ``occupations``, an int table with one row per term
     (the ``h`` counts, then the ``v`` counts; int8 when built by ``evolve``,
     whose photon cap keeps counts small), and ``amplitudes``, a complex128
-    vector. :class:`FockState` objects are built only when the
-    terms are iterated, listed, looked up or printed.
+    vector. Its kets and JSON term list are written from the table rows
+    by one per-port renderer; :class:`FockState` objects are built only
+    when the terms are iterated, listed or looked up.
     """
 
     def __init__(self, terms: Mapping[FockState, complex] | Iterable[tuple[FockState, complex]]
                  | Product, n_ports: int, require_normalized: bool = True):
         n_ports = size(n_ports, "n_ports", 1)
-        if isinstance(terms, Product):
-            occ, amps = terms.arrays()
-            if occ.shape[1] != 2 * n_ports:
-                raise ValueError(f"term table has {occ.shape[1]} columns, expected {2 * n_ports}")
-            amps = amps + 0.0  # to both parts, as the mapping form's first addition to 0.0
-            # np.hypot has the bits of Python's abs(complex); np.abs does not.
-            mag = np.hypot(amps.real, amps.imag)
-            if not math.isfinite(mag.max(initial=0.0)):
-                state = fock_states(n_ports, occ[~np.isfinite(mag)][:1])[0]
-                raise ValueError(f"non-finite amplitude for {state}")
-            if mag.min(initial=math.inf) < AMPLITUDE_PRUNE_TOL:
-                keep = mag >= AMPLITUDE_PRUNE_TOL
-                occ, amps = occ[keep], amps[keep]
-            added = _listed(amps)
-        else:
+        if not isinstance(terms, Product):
             items = terms.items() if isinstance(terms, Mapping) else terms
-            kept: dict[FockState, complex] = {}
+            sums: dict[FockState, complex] = {}
             for state, amp in items:
                 amp = complex(amp)
                 if not cmath.isfinite(amp):
@@ -256,29 +262,38 @@ class SuperposedState:
                     continue
                 if state.n_ports != n_ports:
                     raise ValueError(f"term {state} has {state.n_ports} ports, expected {n_ports}")
-                kept[state] = kept.get(state, 0.0) + amp
-            # A repeated state's amplitudes add up; drop the sums that cancel.
-            kept = {s: a for s, a in kept.items() if abs(a) >= AMPLITUDE_PRUNE_TOL}
-            if len({(sum(h), sum(v)) for _, h, v in kept}) > 1:
+                sums[state] = sums.get(state, 0.0) + amp
+            # The sums that cancel are pruned below, so they hold no photon count.
+            if len({(sum(h), sum(v)) for (_, h, v), a in sums.items()
+                    if abs(a) >= AMPLITUDE_PRUNE_TOL}) > 1:
                 raise ValueError("terms differ in photon count per polarization")
-            states = sorted(kept)
+            states = sorted(sums)
             try:
                 occ = np.array([h + v for _, h, v in states], dtype=np.int64)
             except OverflowError:
                 raise ValueError("photon counts must be below 2**63") from None
-            occ = occ.reshape(len(states), 2 * n_ports)
-            amps = np.array([kept[s] for s in states], dtype=complex)
-            added = kept.values()
-        if require_normalized:
-            # In the order the terms were added, as a Python sum.
-            norm_sq = sum(abs(a) ** 2 for a in added)
-            if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
-                raise NumericalError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
+            terms = Product((occ.reshape(len(states), 2 * n_ports), [sums[s] for s in states]))
+        occ, amps = terms.arrays()
+        if occ.shape[1] != 2 * n_ports:
+            raise ValueError(f"term table has {occ.shape[1]} columns, expected {2 * n_ports}")
+        amps = amps + 0.0  # to both parts, as Python's 0.0 + amp does
+        # np.hypot has the bits of Python's abs(complex); np.abs does not.
+        mag = np.hypot(amps.real, amps.imag)
+        if not math.isfinite(mag.max(initial=0.0)):
+            state = fock_states(n_ports, occ[~np.isfinite(mag)][:1])[0]
+            raise ValueError(f"non-finite amplitude for {state}")
+        if mag.min(initial=math.inf) < AMPLITUDE_PRUNE_TOL:
+            keep = mag >= AMPLITUDE_PRUNE_TOL
+            occ, amps = occ[keep], amps[keep]
         occ.flags.writeable = amps.flags.writeable = False
         self.n_ports = n_ports
         self.occupations = occ
         self.amplitudes = amps
         self._index: dict[bytes, int] | None = None
+        if require_normalized:
+            norm_sq = self.norm_sq()
+            if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
+                raise NumericalError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
 
     @property
     def terms(self) -> dict[FockState, complex]:
@@ -308,10 +323,14 @@ class SuperposedState:
         return 0.0 + 0.0j if i is None else self.amplitudes[i].item()
 
     def kets(self) -> list[str]:
-        """:func:`ket_texts` of the terms, in term order."""
-        n = self.n_ports
-        # ket_texts zips each row with range(n), so the full row serves as ``h``.
-        return ket_texts((n, row, row[n:]) for row in _listed(self.occupations))
+        """The ``str`` of each term's :class:`FockState`, in term order."""
+        vacuum, kets = f"|vac;{self.n_ports}>", []
+        for pieces, widths in _occ_pieces(self.occupations, self.n_ports, _ket_piece):
+            end = 0
+            for width in widths:
+                kets.append(f"|{''.join(pieces[end:end + width])}>" if width else vacuum)
+                end += width
+        return kets
 
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in _listed(self.amplitudes))
@@ -343,57 +362,31 @@ class SuperposedState:
         Each piece is a shared constant, the cached ``occ`` entries of one port
         or the ``repr`` of one amplitude part. None is a string per term: those
         miss Python's small-object allocator, and their leftover heap raised
-        the benchmark's peak RSS. Numpy keys the occupied ports of ``_BLOCK``
-        rows at a time, which bounds the arrays and lists alive at once, and
-        Python then takes one step per row, none per port.
+        the benchmark's peak RSS.
         """
         if not len(self):
             return ["[]"]
-        n, table = self.n_ports, self.occupations
         i0, i1, i2, i3, i4, i5 = ("\n" + "  " * (depth + k) for k in range(6))
         term_end = f"{i2}]{i1}}}"
-        state_head = f'{i1}{{{i2}"state": {{{i3}"nPorts": {n},{i3}"occ": '
+        state_head = f'{i1}{{{i2}"state": {{{i3}"nPorts": {self.n_ports},{i3}"occ": '
         amp_head = f'{i2}}},{i2}"amp": [{i3}'
         head, sep = f"{term_end},{state_head}", f",{i3}"
         closes = (f"[]{amp_head}", f"{i3}]{amp_head}")  # by whether the row has photons
-        # An occ entry's key is ((port * k + H count) * k + V count) * 2, plus 1
-        # if it opens its row's list; counts too large for that are keyed by rank.
-        counts = range(int(table.max()) + 1)  # the count of each rank
-        if 2 * n * len(counts) ** 2 >= 2**63:
-            counts = np.unique(np.append(table, 0))
-            table = np.searchsorted(counts, table)
-        k, pieces = len(counts), {}
-        weights, port_keys = np.array([2 * k, 2]), np.arange(n, dtype=np.int64) * (2 * k * k)
 
-        def piece(key: int) -> str:
-            port, rest = divmod(key >> 1, k * k)
-            ch, cv = divmod(rest, k)
+        def piece(port: int, ch: int, cv: int, first: bool) -> str:
             mode = f'{i4}{{{i5}"port": {port},{i5}"pol": '
-            text = f'{mode}"H",{i5}"count": {counts[ch]}{i4}}}' if ch else ""
+            text = f'{mode}"H",{i5}"count": {ch}{i4}}}' if ch else ""
             if cv:
-                text += f'{"," if ch else ""}{mode}"V",{i5}"count": {counts[cv]}{i4}}}'
-            return ("[" if key & 1 else ",") + text
+                text += f'{"," if ch else ""}{mode}"V",{i5}"count": {cv}{i4}}}'
+            return ("[" if first else ",") + text
 
-        out = ["[" + state_head]
-        for start in range(0, len(table), _BLOCK):
-            occ, amps = table[start:start + _BLOCK], self.amplitudes[start:start + _BLOCK]
-            key = weights @ occ.reshape(len(occ), 2, n)  # 2 * (H * k + V) by (row, port)
-            flat = key.ravel().nonzero()[0]  # the occupied ports, row-major
-            key += port_keys
-            key = key.ravel()[flat]
-            rows = flat // n
-            key[1:] += rows[1:] != rows[:-1]
-            keys = key.tolist()
-            if keys:
-                keys[0] += 1  # a block starts at a row
-            for new in set(keys).difference(pieces):
-                pieces[new] = piece(new)
-            entries = list(map(pieces.__getitem__, keys))
-            parts = map(repr, amps.view(np.float64).tolist())
+        out, start = ["[" + state_head], 0
+        for entries, widths in _occ_pieces(self.occupations, self.n_ports, piece):
+            parts = map(repr, self.amplitudes[start:start + len(widths)].view(np.float64).tolist())
+            start += len(widths)
             end = 0
             # Per row: its entries, its occ close, re, sep and im, and the next row's head.
-            for width, real, imag in zip(np.bincount(rows, minlength=len(occ)).tolist(),
-                                         parts, parts):
+            for width, real, imag in zip(widths, parts, parts):
                 out += entries[end:end + width]
                 out += (closes[width > 0], real, sep, imag, head)
                 end += width
@@ -410,7 +403,8 @@ class SuperposedState:
         return cls(list(zip(states, amps)), n_ports, require_normalized=require_normalized)
 
     def __repr__(self) -> str:
-        body = " + ".join(f"({a:.4g}){s}" for s, a in self)
+        terms = zip(self.kets(), self.amplitudes.tolist())
+        body = " + ".join(f"({a:.4g}){ket}" for ket, a in terms)
         return f"SuperposedState({body or '0'})"
 
 

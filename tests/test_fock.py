@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from wstategen import linalg
 from wstategen.errors import NumericalError
+from wstategen.evolve import evolve
 from wstategen.fock import (
     FockState,
     Mode,
     Polarization,
+    Product,
     SuperposedState,
-    ket_texts,
     product_input,
     single_photon_state,
     target_from_coefficients,
@@ -128,7 +130,7 @@ class TestFockState:
 
 
 def _reference_ket(state: FockState) -> str:
-    """The ket as ``FockState.__str__`` built it from the ``occ`` view, before ``ket_texts``."""
+    """The ket of a state, built from its ``occ`` view."""
     occ = state.occ
     if not occ:
         return f"|vac;{state.n_ports}>"
@@ -148,20 +150,61 @@ def _seeded_states(n_ports: int, seed: int) -> list[FockState]:
     return states
 
 
+def _table_state(states: list[FockState]) -> SuperposedState:
+    """The terms ``states``, in the given order, each with amplitude 1."""
+    n = states[0].n_ports
+    table = np.array([h + v for _, h, v in states], dtype=np.int64).reshape(len(states), 2 * n)
+    return SuperposedState(Product((table, np.ones(len(states)))), n, require_normalized=False)
+
+
+def _assert_kets_match_reference(state: SuperposedState) -> None:
+    states = [s for s, _ in state]
+    expected = [_reference_ket(s) for s in states]
+    assert state.kets() == expected
+    assert [str(s) for s in states] == expected
+
+
 class TestKetTexts:
+    """``SuperposedState.kets`` and ``str(FockState)`` against the ``occ``-built ket."""
+
     def test_examples(self):
         both = FockState.from_counts({Mode(0, H): 2, Mode(0, V): 1, Mode(2, V): 5}, 3)
-        assert ket_texts([both, FockState.from_counts([], 3)]) == ["|H0^2 V0 V2^5>", "|vac;3>"]
-        assert ket_texts([]) == []
+        vacuum = FockState.from_counts([], 3)
+        assert _table_state([both, vacuum]).kets() == ["|H0^2 V0 V2^5>", "|vac;3>"]
+        assert (str(both), str(vacuum)) == ("|H0^2 V0 V2^5>", "|vac;3>")
+        assert SuperposedState([], 3, require_normalized=False).kets() == []
 
     @pytest.mark.parametrize("n_ports", [1, 2, 7, 64])
     def test_matches_occ_reference(self, n_ports):
-        states = _seeded_states(n_ports, 1300 + n_ports)
+        states = sorted(set(_seeded_states(n_ports, 1300 + n_ports)))
         assert any(c == 5 for s in states for c in s.h + s.v)
         assert any(ch and cv for s in states for ch, cv in zip(s.h, s.v))
-        expected = [_reference_ket(s) for s in states]
-        assert ket_texts(states) == expected
-        assert [str(s) for s in states] == expected
+        _assert_kets_match_reference(_table_state(states))
+
+    def test_int8_table_from_evolve(self):
+        state = evolve(linalg.dft_multiport(4), product_input([(0, H), (0, H), (2, V)], 4))
+        assert state.occupations.dtype == np.int8 and len(state) == 40
+        _assert_kets_match_reference(state)
+
+    @pytest.mark.parametrize("vacuum_row", [1, 700, 1024, 2048, 2499])
+    def test_rows_past_one_block(self, vacuum_row):
+        # kets() reads the rows in stored order, so the vacuum may sit anywhere:
+        # inside a block, or opening the second or third block of 1,024 rows.
+        # Row i holds the base-4 digits of i + 1 over 4 ports, H then V.
+        table = (np.arange(1, 2500)[:, None] // 4 ** np.arange(7, -1, -1)) % 4
+        table = np.insert(table, vacuum_row, 0, axis=0)
+        states = [FockState(4, tuple(row[:4]), tuple(row[4:])) for row in table.tolist()]
+        state = _table_state(states)
+        _assert_kets_match_reference(state)
+        assert state.kets()[vacuum_row] == "|vac;4>"
+
+    def test_counts_keyed_by_rank(self):
+        states = [FockState(2, (2**62, 5), (0, 2**40)), FockState(2, (5, 2**62), (2**40, 0))]
+        state = _table_state(states)
+        assert state.kets() == ["|H0^4611686018427387904 H1^5 V1^1099511627776>",
+                                "|H0^5 V0^1099511627776 H1^4611686018427387904>"]
+        _assert_kets_match_reference(state)
+        assert str(FockState(1, (2**70,), (1,))) == f"|H0^{2**70} V0>"
 
 
 class TestFockStateValue:
@@ -342,6 +385,24 @@ class TestSuperposedState:
         state = w_state_polarization(3)
         back = SuperposedState.from_json_obj(state.to_json_obj())
         assert back == state
+
+    def test_repeated_terms_summing_past_float_range_rejected(self):
+        one = FockState(1, (1,), (0,))
+        with pytest.raises(ValueError, match=r"^non-finite amplitude for \|H0>$"):
+            SuperposedState([(one, 1e308), (one, 1e308)], 1, require_normalized=False)
+        term = {"state": one.to_json_obj(), "amp": [1e308, 0.0]}
+        with pytest.raises(ValueError, match=r"^non-finite amplitude for \|H0>$"):
+            SuperposedState.from_json_obj({"nPorts": 1, "terms": [term, term]},
+                                          require_normalized=False)
+
+    def test_repr(self):
+        state = SuperposedState({FockState(3, (2, 0, 0), (1, 0, 0)): 0.6,
+                                 FockState(3, (0, 0, 2), (0, 0, 1)): -0.8j,
+                                 FockState(3, (1, 1, 0), (0, 1, 0)): 1 / 3 + 0.25j},
+                                3, require_normalized=False)
+        assert repr(state) == ("SuperposedState((0-0.8j)|H2^2 V2> + (0.3333+0.25j)|H0 H1 V1>"
+                               " + (0.6+0j)|H0^2 V0>)")
+        assert repr(SuperposedState([], 2, require_normalized=False)) == "SuperposedState(0)"
 
 
 class TestWStates:
