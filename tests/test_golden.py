@@ -150,6 +150,10 @@ def _cases() -> dict:
     cases["cli-path-w-n12-port5-json"] = lambda: _cli_text(
         ["path-w", "--n", "12", "--input-port", "5", "--format", "json"])
     cases["cli-polar-w-n6-json"] = lambda: _cli_text(["polar-w", "--n", "6", "--format", "json"])
+    # DFT_64, whose 8,192 float parts hold 2,282 distinct values: the report
+    # and the matrix file write many equal parts.
+    cases["path-w-n64-port21"] = lambda: run_path_w(64, 21).to_json()
+    cases["cli-multiport-n64-file"] = lambda: _cli_file_text(["multiport", "--n", "64"])
     for fmt in ("csv", "table"):
         cases[f"cli-evolve-dft4-bunched-{fmt}"] = lambda f=fmt: _evolve_text(
             f, 4, EVOLVE_DFT4_INPUT)
