@@ -360,9 +360,9 @@ class SuperposedState:
         """Pieces of the indent-2 JSON text of the term list at nesting ``depth``.
 
         Each piece is a shared constant, the cached ``occ`` entries of one port
-        or the ``repr`` of one amplitude part. None is a string per term: those
-        miss Python's small-object allocator, and their leftover heap raised
-        the benchmark's peak RSS.
+        or the ``repr`` of one distinct amplitude part. None is a string per
+        term: those miss Python's small-object allocator, and their leftover
+        heap raised the benchmark's peak RSS.
         """
         if not len(self):
             return ["[]"]
@@ -380,10 +380,9 @@ class SuperposedState:
                 text += f'{"," if ch else ""}{mode}"V",{i5}"count": {cv}{i4}}}'
             return ("[" if first else ",") + text
 
-        out, start = ["[" + state_head], 0
+        out = ["[" + state_head]
+        parts = iter(jsontext.float_reprs(self.amplitudes.view(np.float64)))
         for entries, widths in _occ_pieces(self.occupations, self.n_ports, piece):
-            parts = map(repr, self.amplitudes[start:start + len(widths)].view(np.float64).tolist())
-            start += len(widths)
             end = 0
             # Per row: its entries, its occ close, re, sep and im, and the next row's head.
             for width, real, imag in zip(widths, parts, parts):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 
 def dumps(frame) -> str:
     """The indent-2 JSON text of ``frame`` plus a newline, each chunk writer writing its list."""
@@ -43,6 +45,14 @@ def _write(obj, depth: int, out: list[str]) -> None:
         _write(value, depth + 1, out)
         sep = "," + pad
     out.append(pad[:-2] + closing)
+
+
+def float_reprs(x: np.ndarray) -> list[str]:
+    """The ``repr`` of each float64 of ``x`` in C order, once per bit pattern, so -0.0 stays."""
+    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.int64).ravel()
+    keys, index = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    return texts[index].tolist()
 
 
 def expand(frame):

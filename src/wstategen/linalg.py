@@ -197,11 +197,12 @@ def _entries_chunks(a: np.ndarray, depth: int) -> list[str]:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     i0, i1, i2 = ("\n" + "  " * (depth + k) for k in range(3))
-    flat = a.ravel()
+    head, sep, tail = f"{i1}[{i2}", f",{i2}", f"{i1}],"
+    parts = iter(jsontext.float_reprs(np.ascontiguousarray(a).view(np.float64)))
     out = ["["]
-    for re, im in zip(flat.real.tolist(), flat.imag.tolist()):
-        out += (f"{i1}[{i2}{re!r},{i2}{im!r}{i1}]", ",")
-    out[-1] = f"{i0}]"
+    for re, im in zip(parts, parts):
+        out += (head, re, sep, im, tail)
+    out[-1] = f"{i1}]{i0}]"
     return out
 
 

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,59 @@ def test_edge_values_reach_the_templates():
     assert edges - _written_floats(state_text) == {"-0.0"}
     matrix_text = jsontext.dumps(linalg.matrix_json_frame(_matrices()[-2]))
     assert edges - _written_floats(matrix_text) == {"1.0", "-1.0"}
+
+
+def _float_arrays() -> list[np.ndarray]:
+    dft = linalg.dft_multiport(8).view(np.float64)
+    return [
+        np.array(EDGE_FLOATS),  # 0.0 and -0.0 in one list, and the subnormal 5e-324
+        np.array([-0.0, 0.0, -0.0, 5e-324, 0.0, 5e-324]),
+        np.array([]),
+        np.array([-0.0]),
+        np.array([0.5, 0.5, -0.5, 0.5]),  # equal real and imaginary parts
+        dft,  # 8 x 16 parts, 31 distinct
+        dft.T,  # Fortran-ordered: written in the C order of the transpose
+        np.asfortranarray(dft),
+    ]
+
+
+@pytest.mark.parametrize("x", _float_arrays(), ids=lambda x: f"{x.size}parts")
+def test_float_reprs_match_repr(x):
+    assert jsontext.float_reprs(x) == list(map(repr, x.ravel().tolist()))
+
+
+def _number_lines(text: str) -> list[str]:
+    """The numbers written alone on a line, in order: the parts of the
+    amplitudes of a term list or of the entries of a matrix."""
+    lines = (line.strip().rstrip(",") for line in text.splitlines())
+    return [line for line in lines if re.fullmatch(r"-?\d\S*", line)]
+
+
+def _writer_matrices() -> list[np.ndarray]:
+    u = linalg.dft_multiport(6)
+    return _matrices() + [
+        np.array([[complex(0.0, -0.0), complex(-0.0, 0.0)], [complex(5e-324, 5e-324), 0.5]]),
+        np.array([[complex(0.25, 0.25)]]),
+        u.T,  # Fortran-ordered
+        u[::-1, ::2][:3],  # neither C- nor Fortran-ordered
+    ]
+
+
+@pytest.mark.parametrize("m", _writer_matrices(), ids=lambda m: f"{m.shape[0]}x{m.shape[0]}")
+def test_matrix_writer_parts_match_repr(m):
+    parts = np.ascontiguousarray(m, dtype=complex).view(np.float64).ravel()
+    text = jsontext.dumps(linalg.matrix_json_frame(m))
+    assert _number_lines(text) == list(map(repr, parts.tolist()))
+
+
+@pytest.mark.parametrize("state", _states() + [
+    # Four equal parts, real and imaginary.
+    SuperposedState(Product((np.eye(2, dtype=np.int64), [0.5 + 0.5j] * 2)), 1,
+                    require_normalized=False),
+], ids=lambda s: f"{s.n_ports}ports-{len(s)}terms")
+def test_term_writer_parts_match_repr(state):
+    text = jsontext.dumps(state.json_frame())
+    assert _number_lines(text) == list(map(repr, state.amplitudes.view(np.float64).tolist()))
 
 
 @pytest.mark.parametrize("m", _matrices(), ids=lambda m: f"{m.shape[0]}x{m.shape[0]}")
