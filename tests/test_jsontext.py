@@ -137,6 +137,9 @@ def _states() -> list[SuperposedState]:
         postselect(evolved, CoincidencePattern.one_per_port()).conditional,
         # More rows than one block: int8, one V photon.
         run_polarization_w(6).output_state,
+        # Four equal amplitude parts, real and imaginary.
+        SuperposedState(Product((np.eye(2, dtype=np.int64), [0.5 + 0.5j] * 2)), 1,
+                        require_normalized=False),
     ]
     return states
 
@@ -146,6 +149,11 @@ def _matrices() -> list[np.ndarray]:
     mats = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in range(1, 7)]
     mats += [rng.normal(size=(3, 3)), linalg.dft_multiport(5), linalg.canonical_quarter(),
              np.zeros((0, 0))]
+    u = linalg.dft_multiport(6)
+    mats += [u.T,  # Fortran-ordered
+             u[::-1, ::2][:3],  # neither C- nor Fortran-ordered
+             np.array([[complex(0.0, -0.0), complex(-0.0, 0.0)], [complex(5e-324, 5e-324), 0.5]]),
+             np.array([[complex(0.25, 0.25)]])]
     edges = np.array(EDGE_FLOATS[:9])
     mats.append((edges + 1j * edges[::-1]).reshape(3, 3))
     mats.append(np.array([[complex(-0.0, -0.0)]]))
@@ -199,28 +207,14 @@ def _number_lines(text: str) -> list[str]:
     return [line for line in lines if re.fullmatch(r"-?\d\S*", line)]
 
 
-def _writer_matrices() -> list[np.ndarray]:
-    u = linalg.dft_multiport(6)
-    return _matrices() + [
-        np.array([[complex(0.0, -0.0), complex(-0.0, 0.0)], [complex(5e-324, 5e-324), 0.5]]),
-        np.array([[complex(0.25, 0.25)]]),
-        u.T,  # Fortran-ordered
-        u[::-1, ::2][:3],  # neither C- nor Fortran-ordered
-    ]
-
-
-@pytest.mark.parametrize("m", _writer_matrices(), ids=lambda m: f"{m.shape[0]}x{m.shape[0]}")
+@pytest.mark.parametrize("m", _matrices(), ids=lambda m: f"{m.shape[0]}x{m.shape[0]}")
 def test_matrix_writer_parts_match_repr(m):
     parts = np.ascontiguousarray(m, dtype=complex).view(np.float64).ravel()
     text = jsontext.dumps(linalg.matrix_json_frame(m))
     assert _number_lines(text) == list(map(repr, parts.tolist()))
 
 
-@pytest.mark.parametrize("state", _states() + [
-    # Four equal parts, real and imaginary.
-    SuperposedState(Product((np.eye(2, dtype=np.int64), [0.5 + 0.5j] * 2)), 1,
-                    require_normalized=False),
-], ids=lambda s: f"{s.n_ports}ports-{len(s)}terms")
+@pytest.mark.parametrize("state", _states(), ids=lambda s: f"{s.n_ports}ports-{len(s)}terms")
 def test_term_writer_parts_match_repr(state):
     text = jsontext.dumps(state.json_frame())
     assert _number_lines(text) == list(map(repr, state.amplitudes.view(np.float64).tolist()))
