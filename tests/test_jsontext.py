@@ -144,20 +144,34 @@ def _states() -> list[SuperposedState]:
     return states
 
 
-def _matrices() -> list[np.ndarray]:
+def _sized_matrices() -> list[np.ndarray]:
     rng = np.random.default_rng(20020826)
     mats = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in range(1, 7)]
     mats += [rng.normal(size=(3, 3)), linalg.dft_multiport(5), linalg.canonical_quarter(),
              np.zeros((0, 0))]
-    u = linalg.dft_multiport(6)
-    mats += [u.T,  # Fortran-ordered
-             u[::-1, ::2][:3],  # neither C- nor Fortran-ordered
-             np.array([[complex(0.0, -0.0), complex(-0.0, 0.0)], [complex(5e-324, 5e-324), 0.5]]),
-             np.array([[complex(0.25, 0.25)]])]
     edges = np.array(EDGE_FLOATS[:9])
     mats.append((edges + 1j * edges[::-1]).reshape(3, 3))
     mats.append(np.array([[complex(-0.0, -0.0)]]))
     return mats
+
+
+def _named_matrices() -> dict[str, np.ndarray]:
+    u = linalg.dft_multiport(6)
+    return {
+        "6x6-fortran": u.T,
+        "3x3-strided": u[::-1, ::2][:3],  # neither C- nor Fortran-ordered
+        "2x2-signed-zeros": np.array([[complex(0.0, -0.0), complex(-0.0, 0.0)],
+                                      [complex(5e-324, 5e-324), 0.5]]),
+        "1x1-equal-parts": np.array([[complex(0.25, 0.25)]]),
+    }
+
+
+def _matrices() -> list[np.ndarray]:
+    return _sized_matrices() + list(_named_matrices().values())
+
+
+# Cases named by size (pytest numbers repeated sizes), then by what they hold.
+_MATRIX_IDS = [f"{m.shape[0]}x{m.shape[0]}" for m in _sized_matrices()] + list(_named_matrices())
 
 
 @pytest.mark.parametrize("state", _states(), ids=lambda s: f"{s.n_ports}ports-{len(s)}terms")
@@ -177,7 +191,7 @@ def test_edge_values_reach_the_templates():
     edges = {float.__repr__(x) for x in EDGE_FLOATS}
     state_text = jsontext.dumps(_edge_state().json_frame())
     assert edges - _written_floats(state_text) == {"-0.0"}
-    matrix_text = jsontext.dumps(linalg.matrix_json_frame(_matrices()[-2]))
+    matrix_text = jsontext.dumps(linalg.matrix_json_frame(_sized_matrices()[-2]))
     assert edges - _written_floats(matrix_text) == {"1.0", "-1.0"}
 
 
@@ -207,7 +221,7 @@ def _number_lines(text: str) -> list[str]:
     return [line for line in lines if re.fullmatch(r"-?\d\S*", line)]
 
 
-@pytest.mark.parametrize("m", _matrices(), ids=lambda m: f"{m.shape[0]}x{m.shape[0]}")
+@pytest.mark.parametrize("m", _matrices(), ids=_MATRIX_IDS)
 def test_matrix_writer_parts_match_repr(m):
     parts = np.ascontiguousarray(m, dtype=complex).view(np.float64).ravel()
     text = jsontext.dumps(linalg.matrix_json_frame(m))
@@ -220,7 +234,7 @@ def test_term_writer_parts_match_repr(state):
     assert _number_lines(text) == list(map(repr, state.amplitudes.view(np.float64).tolist()))
 
 
-@pytest.mark.parametrize("m", _matrices(), ids=lambda m: f"{m.shape[0]}x{m.shape[0]}")
+@pytest.mark.parametrize("m", _matrices(), ids=_MATRIX_IDS)
 def test_matrix_text_matches_indent_encoder(m, tmp_path):
     reference = _matrix_tree(m)
     expected = _reference_text(reference)
@@ -261,7 +275,7 @@ def _reports() -> list[SchemeReport]:
     reports.append(SchemeReport(
         scheme_kind="designed-path",
         n=3,
-        unitary_used=_matrices()[-2],
+        unitary_used=_sized_matrices()[-2],
         output_state=state,
         post_selection=postselect(_random_state(random.Random(5), 3, (2, 1), 9),
                                   CoincidencePattern.one_per_port()),
