@@ -140,31 +140,27 @@ def check_normalized_column(target: np.ndarray) -> np.ndarray:
 def complete_unitary_from_column(target: np.ndarray) -> np.ndarray:
     """Deterministic unitary whose first column equals ``target``.
 
-    Uses a Householder reflection sending the first standard basis vector
-    (up to the phase of target[0]) onto the target, composed with a phase
-    on the first column. O(n^2), numerically stable.
+    Uses the Householder reflection along ``v = phase*e0 - c``, which sends
+    ``phase*e0`` (the first basis vector times the phase of target[0]) onto
+    the target, composed with that phase on the first column. O(n^2).
+    ``v[0] = phase - c[0]`` is written as ``phase*(|c[1:]|^2 / (1 + |c[0]|))``,
+    equal for a unit target, so no digits cancel when the target lies next
+    to a basis vector.
     """
     c = check_normalized_column(target)
     n = c.size
-
-    # Near-identity target: nothing to reflect.
-    if abs(1.0 - c[0]) < 1e-12 and np.all(np.abs(c[1:]) < 1e-12):
-        return np.eye(n, dtype=complex)
-
     phase = c[0] / abs(c[0]) if abs(c[0]) > 0 else 1.0 + 0.0j
-    e0 = np.zeros(n, dtype=complex)
-    e0[0] = phase
-    v = e0 - c
-    vnorm_sq = float(np.vdot(v, v).real)
-    if vnorm_sq < 1e-24:
-        # target is phase * e0 exactly; a diagonal phase suffices
-        u = np.eye(n, dtype=complex)
+    off_sq = float(np.vdot(c[1:], c[1:]).real)
+    u = np.eye(n, dtype=complex)
+    if off_sq < np.finfo(float).tiny:
+        # Off-axis weight below the normal range, where ``v v*`` would underflow:
+        # the diagonal phase is the target to round-off.
         u[0, 0] = phase
         return u
-    h = np.eye(n, dtype=complex) - 2.0 * np.outer(v, v.conj()) / vnorm_sq
-    # h maps phase*e0 -> c, so fold the phase into column 0
-    u = h.copy()
-    u[:, 0] = h[:, 0] * phase
+    v = 0j - c  # not -c: zero parts of c give +0.0, as in phase*e0 - c
+    v[0] = phase * (off_sq / (1.0 + abs(c[0])))
+    u -= 2.0 * np.outer(v, v.conj()) / float(np.vdot(v, v).real)
+    u[:, 0] *= phase
     return u
 
 

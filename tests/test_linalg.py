@@ -1,13 +1,16 @@
 import cmath
+import io
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from wstategen import linalg
+from wstategen import cli, linalg
 from wstategen.errors import CapacityError
+from wstategen.schemes import run_designed_path
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 
@@ -247,6 +250,53 @@ class TestCompleteUnitary:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             linalg.complete_unitary_from_column(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("phase", [1, -1, 1j, cmath.exp(0.7j)], ids=["1", "-1", "i", "e0.7i"])
+    def test_near_basis_targets(self, n, phase):
+        """Targets next to phase*e0: off-axis entries from 1e-12 to 10^-1.75, quarter decades."""
+        for q in range(42):
+            c = np.zeros(n, dtype=complex)
+            c[0], c[1] = phase, 10.0 ** (-12 + q / 4)
+            c /= np.linalg.norm(c)
+            u = linalg.complete_unitary_from_column(c)
+            assert np.max(np.abs(u[:, 0] - c)) <= 1e-14, q
+            assert linalg.verify_unitary(u, 1e-12), q
+
+    @pytest.mark.parametrize("tiny", [1e-153, 1e-155, 1e-160, 1e-300])
+    def test_tiny_off_axis_entry(self, tiny):
+        """Off-axis weight near or below the smallest normal double: no NaN, no warning."""
+        c = np.array([1.0, tiny, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = linalg.complete_unitary_from_column(c)
+        assert np.all(np.isfinite(u))
+        assert linalg.verify_unitary(u, 1e-12)
+        assert np.max(np.abs(u[:, 0] - c)) <= 1e-14
+
+    @pytest.mark.parametrize("phase", [1.0, cmath.exp(0.7j)], ids=["1", "e0.7i"])
+    def test_basis_target_gives_diagonal_phase(self, phase):
+        u = linalg.complete_unitary_from_column(np.array([phase, 0.0, 0.0]))
+        assert np.array_equal(u, np.diag([phase, 1.0, 1.0]).astype(complex))
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("norm_sq", [1 - 0.99e-10, 1 + 0.99e-10], ids=["below", "above"])
+    def test_normalization_edge_targets_pass_designer(self, n, norm_sq):
+        """Targets just inside the unit-norm tolerance still give their column exactly."""
+        for t in (1e-6, 1e-3, 0.3):
+            c = np.zeros(n, dtype=complex)
+            c[0], c[-1] = 1.0, t
+            c *= math.sqrt(norm_sq) / np.linalg.norm(c)
+            report = run_designed_path(c)
+            assert np.max(np.abs(report.unitary_used[:, 0] - c)) <= 1e-10, t
+
+    def test_design_cli_near_basis_target(self, tmp_path):
+        target = tmp_path / "near.json"
+        target.write_text("[[1.0, 0], [1e-9, 0], [0, 0]]")
+        out = io.StringIO()
+        code = cli.main(["design", "--target", str(target), "--out", str(tmp_path / "u.json")], out)
+        assert code == 0
+        assert out.getvalue().splitlines()[:2] == ["column match: PASS", "unitarity: PASS"]
 
 
 class TestMatrixIO:
