@@ -125,13 +125,12 @@ def fidelity(state: SuperposedState, target: SuperposedState) -> float:
             f"port counts differ: {state.n_ports} vs {target.n_ports}"
         )
     # A term of ``state`` missing from ``target`` adds an exact complex zero, so
-    # only the rows that ``target`` also holds are summed, in term order, from
-    # 0j; an empty ``state`` sums nothing and leaves the int 0.
+    # only the rows that ``target`` also holds are summed, in term order, from 0j.
     index = target.row_index()
     rows = [(i, j) for i, key in enumerate(row_keys(state.occupations))
             if (j := index.get(key)) is not None]
     amps, target_amps = state.amplitudes.tolist(), target.amplitudes.tolist()
-    overlap = sum((target_amps[j].conjugate() * amps[i] for i, j in rows), 0j if amps else 0)
+    overlap = sum((target_amps[j].conjugate() * amps[i] for i, j in rows), 0j)
     value = abs(overlap) ** 2
     if value > 1.0 + NORMALIZATION_TOL:
         raise NumericalError(f"fidelity {value!r} exceeds 1: a state is not normalized")

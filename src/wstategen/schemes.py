@@ -2,7 +2,8 @@
 
 Scheme runners are pure orchestrations over the linalg/fock/evolve/
 postselect modules and return a :class:`SchemeReport` that serializes to
-a flat JSON object. Identical inputs produce byte-identical reports.
+a JSON object with the coupler, output state and post-selection nested in
+it. Identical inputs produce byte-identical reports.
 """
 from __future__ import annotations
 
@@ -140,7 +141,7 @@ def run_polarization_w(n: int) -> SchemeReport:
     u = polarization_scheme_coupler(n)
     out = evolve(u, scheme2_input(n))
     result = postselect(out, CoincidencePattern.one_per_port())
-    fid = fidelity(result.conditional, w_state_polarization(n)) if result.kept_terms else 0.0
+    fid = fidelity(result.conditional, w_state_polarization(n))
     if n in PUBLISHED_PROBABILITIES:
         note = f"published value {PUBLISHED_PROBABILITIES[n]}"
     else:

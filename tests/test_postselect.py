@@ -122,6 +122,11 @@ class TestFidelity:
         b = SuperposedState({single_photon_state(1, H, 2): 1.0}, 2)
         assert fidelity(a, b) == 0.0
 
+    def test_empty_state_fidelity_is_float_zero(self):
+        empty = SuperposedState({}, 3, require_normalized=False)
+        value = fidelity(empty, w_state_path(3))
+        assert type(value) is float and value == 0.0
+
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(9)
         states = []

@@ -70,7 +70,7 @@ def _reference_postselect(terms: dict, n_ports: int, pattern: CoincidencePattern
 
 
 def _reference_fidelity(terms: dict, target: dict) -> float:
-    overlap = sum(target.get(s, 0.0 + 0.0j).conjugate() * a for s, a in terms.items())
+    overlap = sum((target.get(s, 0.0 + 0.0j).conjugate() * a for s, a in terms.items()), 0j)
     return min(abs(overlap) ** 2, 1.0)
 
 
