@@ -8,8 +8,9 @@ view ``FockState.occ`` is derived from them for the JSON form. A
 amplitudes, kept in tuple order of its states as an occupation table and an
 amplitude vector, which evolution and post-selection fill and read as arrays.
 
-All types are immutable values: equal occupations compare equal and hash
-identically, and everything is safe to share across threads.
+All types are immutable values, safe to share across threads, and equal
+occupations compare equal. Modes and Fock states are tuples that hash by
+value; a :class:`SuperposedState` defines only equality and is unhashable.
 """
 from __future__ import annotations
 

@@ -140,21 +140,17 @@ def check_normalized_column(target: np.ndarray) -> np.ndarray:
 def complete_unitary_from_column(target: np.ndarray) -> np.ndarray:
     """Deterministic unitary whose first column equals ``target``.
 
-    Uses the Householder reflection along ``v = phase*e0 - c``, which sends
-    ``phase*e0`` (the first basis vector times the phase of target[0]) onto
-    the target, composed with that phase on the first column. O(n^2).
-    ``v[0] = phase - c[0]`` is written as ``phase*(|c[1:]|^2 / (1 + |c[0]|))``,
-    equal for a unit target, so no digits cancel when the target lies next
-    to a basis vector.
+    The Householder reflection along ``v = phase*e0 - c`` sends ``phase*e0``
+    onto the target, and the phase of target[0] then goes on the first
+    column. O(n^2). ``v[0]`` is ``phase*(|c[1:]|^2 / (1 + |c[0]|))``: equal to
+    ``phase - c[0]`` for a unit target, but no digits cancel next to e0.
     """
     c = check_normalized_column(target)
-    n = c.size
     phase = c[0] / abs(c[0]) if abs(c[0]) > 0 else 1.0 + 0.0j
     off_sq = float(np.vdot(c[1:], c[1:]).real)
-    u = np.eye(n, dtype=complex)
+    u = np.eye(c.size, dtype=complex)
     if off_sq < np.finfo(float).tiny:
-        # Off-axis weight below the normal range, where ``v v*`` would underflow:
-        # the diagonal phase is the target to round-off.
+        # ``v v*`` would underflow; the diagonal phase is the target to round-off.
         u[0, 0] = phase
         return u
     v = 0j - c  # not -c: zero parts of c give +0.0, as in phase*e0 - c
