@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None, stream=None) -> int:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:
         args.func(args, stream if stream is not None else sys.stdout)
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"error: capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ArithmeticError as exc:  # NumericalError included
@@ -261,3 +261,7 @@ def main(argv: list[str] | None = None, stream=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -22,10 +22,9 @@ import numpy as np
 
 from .errors import CapacityError, NumericalError
 from .fock import FockState, Product, SuperposedState
-from .linalg import UNITARITY_TOL, permanent, square, verify_unitary
+from .linalg import UNITARITY_TOL, WORK_CAP, permanent, permanent_work, square, verify_unitary
 
 # Exact-enumeration limits; see CapacityError.
-PHOTON_CAP = 12
 PATTERN_CAP = 10**6
 
 # The brute-force oracle expands (2n)^k monomials.
@@ -64,19 +63,6 @@ def _sector_amplitudes(u: np.ndarray, occ_in: tuple[int, ...], outputs: Iterable
         yield permanent(cols[list(ports)]) / math.sqrt(in_norm * out_norm)
 
 
-def _check_transition_caps(input_state: FockState) -> None:
-    k = input_state.total_photons()
-    if k > PHOTON_CAP:
-        raise CapacityError(f"{k} photons exceeds the cap of {PHOTON_CAP}")
-    n, k_h, k_v = input_state.n_ports, sum(input_state.h), sum(input_state.v)
-    n_terms = math.comb(n + k_h - 1, k_h) * math.comb(n + k_v - 1, k_v)
-    if n_terms > PATTERN_CAP:
-        raise CapacityError(
-            f"{k_h} H and {k_v} V photons over {n} ports give {n_terms} output terms, "
-            f"over the {PATTERN_CAP} output-term cap"
-        )
-
-
 def _require_compatible(u: np.ndarray, input_state: FockState) -> np.ndarray:
     u = square(u)
     if u.shape[0] != input_state.n_ports:
@@ -107,22 +93,32 @@ def transition_amplitude(u: np.ndarray, input_state: FockState,
 def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
     """Full output superposition of ``input_state`` through the coupler ``u``.
 
-    Enumerates every output occupation pattern with the input's photon
-    number per polarization; terms appear in lexicographic occupation
-    order, H sector major.
+    Enumerates every output occupation pattern with the input's photon number
+    per polarization; terms appear in lexicographic occupation order, H sector
+    major. Over ``PATTERN_CAP`` terms or ``WORK_CAP`` multiply-adds: CapacityError.
     """
     u = _require_compatible(u, input_state)
     if not verify_unitary(u):
         raise NumericalError(f"matrix not unitary within {UNITARITY_TOL}")
-    _check_transition_caps(input_state)
-    n = input_state.n_ports
+    n, k_h, k_v = input_state.n_ports, sum(input_state.h), sum(input_state.v)
+    p_h, p_v = math.comb(n + k_h - 1, k_h), math.comb(n + k_v - 1, k_v)
+    if p_h * p_v > PATTERN_CAP:
+        raise CapacityError(
+            f"{k_h} H and {k_v} V photons over {n} ports give {p_h * p_v} output terms, "
+            f"over the {PATTERN_CAP} output-term cap"
+        )
+    # 25 photons in one pattern are over the cap alone; min() keeps 2^k small past that.
+    work = p_h * permanent_work(min(k_h, 25)) + p_v * permanent_work(min(k_v, 25))
+    if work > WORK_CAP:
+        raise CapacityError(f"{k_h} H and {k_v} V photons over {n} ports need at least {work} "
+                            f"multiply-adds, over the {WORK_CAP} work cap")
 
     sectors = []
     for occ_in in (input_state.h, input_state.v):
         # The patterns come in descending occupation order; the terms go in ascending.
         patterns = list(combinations_with_replacement(range(n), sum(occ_in)))[::-1]
         ports = np.array(patterns, dtype=np.intp, ndmin=2)  # 2-D for the photon-free () too
-        # Add one photon per (pattern, port) entry; counts are at most PHOTON_CAP.
+        # Add one photon per (pattern, port) entry; WORK_CAP keeps counts at most 24.
         occs = np.zeros((len(patterns), n), dtype=np.int8)
         np.add.at(occs, (np.arange(len(patterns))[:, None], ports), 1)
         sectors.append((occs, list(_sector_amplitudes(u, occ_in, patterns))))

@@ -22,8 +22,8 @@ from .errors import CapacityError, json_fields, size
 
 UNITARITY_TOL = 1e-10
 
-# 2^k Ryser cost; beyond this the call would silently hang.
-PERMANENT_SIZE_CAP = 24
+# Multiply-adds of a 24x24 permanent: the most `permanent` and `evolve` take on.
+WORK_CAP = 24 * ((1 << 24) - 1)
 
 # Gray-code steps per numpy pass in `permanent`; bounds its memory.
 _GRAY_CHUNK = 1 << 14
@@ -69,20 +69,24 @@ def verify_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(n))) <= tol)
 
 
+def permanent_work(k: int) -> int:
+    """Multiply-adds of the Gray-code permanent of a k x k matrix: (2^k - 1) * k."""
+    return ((1 << k) - 1) * k
+
+
 def permanent(m: np.ndarray) -> complex:
     """Permanent of a square complex matrix via Ryser's formula with Gray-code updates.
 
-    O(2^k * k) time and O(2^14 * k) memory for a k x k matrix; k above
-    ``PERMANENT_SIZE_CAP`` raises :class:`CapacityError`. The steps run in
-    numpy chunks that add up in the sequential Gray-code order, so results
-    are bit-identical to a step loop.
+    :func:`permanent_work` multiply-adds in O(2^14 * k) memory; over ``WORK_CAP``
+    a :class:`CapacityError`. Numpy chunks add the steps up in the sequential
+    Gray-code order, so results are bit-identical to a step loop.
     """
     a = square(m)
     n = a.shape[0]
     if n == 0:
         raise ValueError("the permanent needs a non-empty matrix")
-    if n > PERMANENT_SIZE_CAP:
-        raise CapacityError(f"matrix size {n} exceeds permanent cap {PERMANENT_SIZE_CAP}")
+    if permanent_work(n) > WORK_CAP:
+        raise CapacityError(f"a {n}x{n} permanent is over the {WORK_CAP} multiply-add work cap")
     if n == 1:
         # The single step of the chunked form, written out: same bits, no arrays.
         return -(0j - (0j + complex(a[0, 0])))
@@ -125,10 +129,10 @@ def permanent_naive(m: np.ndarray) -> complex:
 
 
 def check_normalized_column(target: np.ndarray) -> np.ndarray:
-    """Validate a complex column vector: finite entries, unit norm within ``UNITARITY_TOL``."""
-    c = np.asarray(target, dtype=complex).ravel()
-    if c.size < 2:
-        raise ValueError(f"target column must have length >= 2, got {c.size}")
+    """Validate a 1-D complex target: finite entries, unit norm within ``UNITARITY_TOL``."""
+    c = np.asarray(target, dtype=complex)
+    if c.ndim != 1 or c.size < 2:
+        raise ValueError(f"target column must be one-dimensional of length >= 2: shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("target column contains non-finite entries")
     norm_sq = float(np.sum(np.abs(c) ** 2))

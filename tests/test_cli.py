@@ -3,10 +3,15 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wstategen
 from wstategen import linalg, schemes
 from wstategen.cli import RATIONAL_TOL, main, rational_note, rational_notes
 from wstategen.errors import NumericalError
@@ -37,6 +42,25 @@ class TestMultiport:
     def test_unwritable_path(self):
         code, _ = run_cli("multiport", "--n", "3", "--out", "/nonexistent/dir/m.json")
         assert code == 2
+
+    def test_memory_error_exits_3(self, monkeypatch, tmp_path, capsys):
+        def no_memory(n):
+            raise MemoryError("Unable to allocate 149. GiB for an array")
+
+        monkeypatch.setattr(linalg, "dft_multiport", no_memory)
+        code, text = run_cli("multiport", "--n", "100000", "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert text == ""
+        assert "capacity exceeded: Unable to allocate" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+
+def test_module_run_as_script():
+    env = dict(os.environ, PYTHONPATH=str(Path(wstategen.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "wstategen.cli", "polar-w", "--n", "3",
+                           "--format", "csv"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "successProbability,0.111111111111" in done.stdout.splitlines()
 
 
 class TestPathW:

@@ -10,6 +10,7 @@ import pytest
 from wstategen.errors import CapacityError, NumericalError
 from wstategen.evolve import evolve, lift_to_modes, oracle_evolve, transition_amplitude
 from wstategen.fock import (
+    NORMALIZATION_TOL,
     FockState,
     Mode,
     Polarization,
@@ -216,11 +217,17 @@ class TestEvolve:
         for perm in permutations(photons):
             assert evolve(u, product_input(list(perm), 3)) == reference
 
-    def test_photon_cap(self):
-        u = dft_multiport(2)
-        too_many = product_input([(0, H)] * 13, 2)
-        with pytest.raises(CapacityError):
-            evolve(u, too_many)
+    def test_thirteen_photons_on_beam_splitter(self):
+        # 14 patterns of 13x13 permanents: 1.5e6 multiply-adds, far under WORK_CAP.
+        out = evolve(dft_multiport(2), product_input([(0, H)] * 13, 2))
+        # Ryser's alternating sum over the repeated column cancels from about 1e14
+        # down to 13!/2^6.5 = 6.9e7, so the amplitudes carry round-off up to 4.4e-11
+        # and the norm 1.9e-10: inside the normalization tolerance, not near 1e-12.
+        assert len(out) == 14
+        assert abs(out.norm_sq() - 1) <= NORMALIZATION_TOL
+        for state, amp in out:
+            j = state.h[0]
+            assert abs(amp - math.sqrt(math.comb(13, j)) / 2 ** 6.5) <= 1e-10, j
 
     def test_bit_identical_to_per_pattern_glue(self):
         for u, state in _bit_identity_cases():
@@ -246,6 +253,22 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_work_cap_fails_before_any_work(self, monkeypatch):
+        # 12 H photons at port 0 of DFT_9: 125,970 patterns of 12x12 permanents, 6.2e9
+        # multiply-adds, though only 125,970 output terms.
+        def no_permanent(m):
+            raise AssertionError("permanent called past the cap check")
+
+        monkeypatch.setattr(evolve_module, "permanent", no_permanent)
+        with pytest.raises(CapacityError, match="6190165800 multiply-adds"):
+            evolve(dft_multiport(9), product_input([(0, H)] * 12, 9))
+
+    def test_huge_count_on_one_port_is_capped(self):
+        # One pattern, but 2^k for k = 10^18 would exhaust memory before the check.
+        state = FockState(1, (10**18,), (0,))
+        with pytest.raises(CapacityError, match="work cap"):
+            evolve(np.eye(1), state)
 
     @pytest.mark.parametrize("n, capped", [(10, False), (11, True), (12, True)])
     def test_output_term_cap_on_polarization_scheme(self, monkeypatch, n, capped):

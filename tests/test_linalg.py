@@ -2,6 +2,7 @@ import cmath
 import io
 import json
 import math
+import re
 import struct
 import warnings
 
@@ -207,6 +208,10 @@ class TestPermanent:
         with pytest.raises(CapacityError):
             linalg.permanent(np.eye(25))
 
+    def test_work_cap_is_the_work_of_a_24x24_permanent(self):
+        assert [linalg.permanent_work(k) for k in range(4)] == [0, 1, 6, 21]
+        assert linalg.permanent_work(24) == linalg.WORK_CAP < linalg.permanent_work(25)
+
 
 class TestCompleteUnitary:
     def test_identity_target(self):
@@ -250,6 +255,14 @@ class TestCompleteUnitary:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             linalg.complete_unitary_from_column(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("target", [np.eye(2) / math.sqrt(2), np.array([[1.0], [0.0]]),
+                                        np.full((1, 1, 4), 0.5)], ids=["2x2", "2x1", "1x1x4"])
+    def test_rejects_target_with_more_than_one_axis(self, target):
+        with pytest.raises(ValueError, match=f"shape {re.escape(str(target.shape))}"):
+            linalg.complete_unitary_from_column(target)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            run_designed_path(target)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("phase", [1, -1, 1j, cmath.exp(0.7j)], ids=["1", "-1", "i", "e0.7i"])
