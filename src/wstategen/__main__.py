@@ -1,0 +1,5 @@
+"""``python -m wstategen``: the ``wstategen`` command."""
+from .cli import entry_point
+
+if __name__ == "__main__":
+    entry_point()

@@ -30,14 +30,21 @@ _GRAY_CHUNK = 1 << 14
 
 
 def dft_multiport(n: int) -> np.ndarray:
-    """Return the n-port symmetric coupler matrix, entry (j,k) = exp(i*2pi*j*k/n)/sqrt(n).
+    """Return the n-port symmetric coupler matrix, entry (j,k) = zeta^(jk mod n)/sqrt(n).
 
-    For n=3 this is the standard tritter matrix; n=2 gives the balanced
-    beam splitter. The result is symmetric and unitary.
+    Here zeta = exp(i*2pi/n). Every entry is read from one table of the n
+    roots, so equal residues give bit-equal entries and the matrix is
+    bitwise symmetric; the quarter turns 1, i, -1 and -i are exact. For
+    n=3 this is the standard tritter matrix; n=2 gives the balanced beam
+    splitter. The result is symmetric and unitary.
     """
     n = size(n, "port count", 2)
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(2j * np.pi * j * k / n) / math.sqrt(n)
+    m = np.arange(n)
+    roots = np.exp(2j * np.pi * m / n)
+    for q, turn in enumerate((1, 1j, -1, complex(0, -1))):  # -1j has real part -0.0
+        if q * n % 4 == 0:
+            roots[q * n // 4] = turn
+    return (roots / math.sqrt(n))[np.outer(m, m) % n]
 
 
 def canonical_quarter() -> np.ndarray:

@@ -63,6 +63,14 @@ def test_module_run_as_script():
     assert "successProbability,0.111111111111" in done.stdout.splitlines()
 
 
+def test_package_run_as_script():
+    env = dict(os.environ, PYTHONPATH=str(Path(wstategen.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "wstategen", "polar-w", "--n", "3",
+                           "--format", "csv"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "successProbability,0.111111111111" in done.stdout.splitlines()
+
+
 class TestPathW:
     def test_json_report(self):
         code, text = run_cli("path-w", "--n", "3", "--format", "json")

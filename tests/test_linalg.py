@@ -48,6 +48,11 @@ def _bits(z):
     return struct.pack("dd", z.real, z.imag)
 
 
+def _part_bits(a):
+    """The int64 bits of every real and imaginary part of a complex array."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 def _planted_matrix(rng, k):
     """Random complex k x k matrix with exact zeros, -0.0 parts and integers planted."""
     m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
@@ -88,6 +93,34 @@ class TestDftMultiport:
     def test_symmetric(self, n):
         u = linalg.dft_multiport(n)
         assert np.max(np.abs(u - u.T)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 64, 256])
+    def test_entries_come_from_one_root_table(self, n):
+        # Entry (j, k) is root jk mod n, and row 1 holds the roots in order.
+        u = linalg.dft_multiport(n)
+        m = np.arange(n)
+        assert np.array_equal(_part_bits(u), _part_bits(u[1][np.outer(m, m) % n]))
+        assert np.array_equal(_part_bits(u), _part_bits(u.T))
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_unitarity_residual_is_round_off(self, n):
+        u = linalg.dft_multiport(n)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-15
+
+    def test_dft256_has_few_distinct_parts(self):
+        # 256 roots give at most 512 float parts; per-entry exps gave 30,425.
+        u = linalg.dft_multiport(256)
+        assert np.unique(_part_bits(u)).size <= 512
+
+    def test_quarter_turns_are_exact(self):
+        b = linalg.dft_multiport(2)
+        assert not _part_bits(b.imag).any()  # every imaginary part is +0.0
+        assert b[1, 1] == -b[0, 0] == -b[0, 1] == -b[1, 0]
+        u = linalg.dft_multiport(4)
+        turns = np.array([1, 1j, -1, complex(0, -1)]) / 2
+        m = np.arange(4)
+        assert np.array_equal(_part_bits(u), _part_bits(turns[np.outer(m, m) % 4]))
+        assert not np.any(u.conj().T @ u - np.eye(4))
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_rejects_small_n(self, n):
