@@ -30,20 +30,13 @@ _GRAY_CHUNK = 1 << 14
 
 
 def dft_multiport(n: int) -> np.ndarray:
-    """Return the n-port symmetric coupler matrix, entry (j,k) = zeta^(jk mod n)/sqrt(n).
+    """The n-port symmetric coupler, entry (j,k) = zeta^(jk mod n)/sqrt(n), zeta = exp(i*2pi/n).
 
-    Here zeta = exp(i*2pi/n). Every entry is read from one table of the n
-    roots, so equal residues give bit-equal entries and the matrix is
-    bitwise symmetric; the quarter turns 1, i, -1 and -i are exact. For
-    n=3 this is the standard tritter matrix; n=2 gives the balanced beam
-    splitter. The result is symmetric and unitary.
+    One table of the n roots (1, i, -1 and -i exact) gives every entry, so it is bitwise symmetric.
     """
-    n = size(n, "port count", 2)
-    m = np.arange(n)
+    m = np.arange(n := size(n, "port count", 2))
     roots = np.exp(2j * np.pi * m / n)
-    for q, turn in enumerate((1, 1j, -1, complex(0, -1))):  # -1j has real part -0.0
-        if q * n % 4 == 0:
-            roots[q * n // 4] = turn
+    roots[::n // math.gcd(n, 4)] = (1, 1j, -1, 0 - 1j)[::4 // math.gcd(n, 4)]  # not -1j: -0.0 real
     return (roots / math.sqrt(n))[np.outer(m, m) % n]
 
 

@@ -57,18 +57,11 @@ class TestMultiport:
 
 def test_module_run_as_script():
     env = dict(os.environ, PYTHONPATH=str(Path(wstategen.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "wstategen.cli", "polar-w", "--n", "3",
-                           "--format", "csv"], capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
-    assert "successProbability,0.111111111111" in done.stdout.splitlines()
-
-
-def test_package_run_as_script():
-    env = dict(os.environ, PYTHONPATH=str(Path(wstategen.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "wstategen", "polar-w", "--n", "3",
-                           "--format", "csv"], capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
-    assert "successProbability,0.111111111111" in done.stdout.splitlines()
+    for module in ("wstategen.cli", "wstategen"):
+        done = subprocess.run([sys.executable, "-m", module, "polar-w", "--n", "3",
+                               "--format", "csv"], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, (module, done.stderr)
+        assert "successProbability,0.111111111111" in done.stdout.splitlines(), module
 
 
 class TestPathW:
