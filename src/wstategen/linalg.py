@@ -36,7 +36,7 @@ def dft_multiport(n: int) -> np.ndarray:
     """
     m = np.arange(n := size(n, "port count", 2))
     roots = np.exp(2j * np.pi * m / n)
-    roots[::n // math.gcd(n, 4)] = (1, 1j, -1, 0 - 1j)[::4 // math.gcd(n, 4)]  # not -1j: -0.0 real
+    roots[::n // math.gcd(n, 4)] = (1, 1j, -1, 0 - 1j)[::4 // math.gcd(n, 4)]  # -1j has real -0.0
     return (roots / math.sqrt(n))[np.outer(m, m) % n]
 
 
