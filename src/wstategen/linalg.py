@@ -27,6 +27,8 @@ WORK_CAP = 24 * ((1 << 24) - 1)
 
 # Gray-code steps per numpy pass in `permanent`; bounds its memory.
 _GRAY_CHUNK = 1 << 14
+_ODD_STEP_SIGNS = np.tile([-1.0, -1.0, 1.0, 1.0], _GRAY_CHUNK // 2)  # -1.0 on odd steps
+_ODD_STEP_SIGNS.flags.writeable = False
 
 
 def dft_multiport(n: int) -> np.ndarray:
@@ -91,31 +93,35 @@ def permanent(m: np.ndarray) -> complex:
         # The single step of the chunked form, written out: same bits, no arrays.
         return -(0j - (0j + complex(a[0, 0])))
 
-    rowsum, total = np.zeros(n, dtype=complex), 0j
+    rowsum, total = 0j, 0j
     n_steps = (1 << n) - 1
     for start in range(0, n_steps, _GRAY_CHUNK):
-        cols, remove = _gray_plan(start // _GRAY_CHUNK)
-        steps = a.T[cols[:n_steps - start]]
-        np.negative(steps, out=steps, where=remove[:len(steps), None])
+        cols, signs = _gray_plan(start // _GRAY_CHUNK)
+        steps = a.T.take(cols[:n_steps - start], axis=0)
+        # Times +-1.0 on the float parts is exact, signed zeros included.
+        parts = steps.view(np.float64)
+        np.multiply(parts, signs[:len(steps)], out=parts)
         steps[0] += rowsum
-        np.cumsum(steps, axis=0, out=steps)
-        rowsum = steps[-1].copy()
-        prods = np.prod(steps, axis=1)
+        np.add.accumulate(steps, axis=0, out=steps)
+        rowsum = steps[-1]
+        # Row-wise on this C-contiguous buffer the products have the bits of complex `*`.
+        prods = np.multiply.reduce(steps, axis=1)
         # Row r is step start + r + 1; a step's subset has odd size iff the step is odd.
-        np.negative(prods[::2], out=prods[::2])
+        parts = prods.view(np.float64)
+        np.multiply(parts, _ODD_STEP_SIGNS[:len(parts)], out=parts)
         prods[0] += total
-        total = np.cumsum(prods)[-1]
+        total = np.add.accumulate(prods)[-1]
     return complex(total) if n % 2 == 0 else -complex(total)
 
 
 @functools.lru_cache(maxsize=16)
 def _gray_plan(chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flipped column and remove flag of steps ``chunk * 2^14 + 1 .. (chunk + 1) * 2^14``."""
+    """Flipped column and sign (-1.0: removed) of steps ``chunk*2^14 + 1 .. (chunk + 1)*2^14``."""
     i = np.arange(chunk * _GRAY_CHUNK + 1, (chunk + 1) * _GRAY_CHUNK + 1, dtype=np.int64)
     cols = (np.frexp((i & -i).astype(float))[1] - 1).astype(np.intp)
-    remove = ((i ^ (i >> 1)) >> cols) & 1 == 0
-    cols.flags.writeable = remove.flags.writeable = False  # shared through the cache
-    return cols, remove
+    signs = np.where(((i ^ (i >> 1)) >> cols) & 1 == 0, -1.0, 1.0)[:, None]
+    cols.flags.writeable = signs.flags.writeable = False  # shared through the cache
+    return cols, signs
 
 
 def permanent_naive(m: np.ndarray) -> complex:

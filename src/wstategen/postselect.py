@@ -93,7 +93,9 @@ def postselect(state: SuperposedState, pattern: CoincidencePattern) -> PostSelec
     pattern.validate_for(state.n_ports)
     mask = pattern.mask(state)
     kept = state.amplitudes[mask].tolist()
-    probability = sum(abs(a) ** 2 for a in kept)
+    probability = 0.0
+    for a in kept:  # left to right on every Python; sum() compensates floats from 3.12 on
+        probability += abs(a) ** 2
     if probability < ZERO_PROBABILITY_TOL:
         conditional = SuperposedState({}, state.n_ports, require_normalized=False)
         return PostSelectionResult(conditional, 0.0, 0, 1.0)

@@ -1,6 +1,7 @@
 import cmath
 import importlib
 import math
+import struct
 import tracemalloc
 from itertools import combinations_with_replacement, permutations, product
 
@@ -8,7 +9,13 @@ import numpy as np
 import pytest
 
 from wstategen.errors import CapacityError, NumericalError
-from wstategen.evolve import evolve, lift_to_modes, oracle_evolve, transition_amplitude
+from wstategen.evolve import (
+    _sector_amplitudes,
+    evolve,
+    lift_to_modes,
+    oracle_evolve,
+    transition_amplitude,
+)
 from wstategen.fock import (
     NORMALIZATION_TOL,
     FockState,
@@ -66,6 +73,10 @@ def _single_pol_amplitude(u, occ_in, occ_out):
     in_norm = math.prod(math.factorial(c) for c in occ_in)
     out_norm = math.prod(math.factorial(c) for c in occ_out)
     return permanent(u[np.ix_(rows, cols)]) / math.sqrt(in_norm * out_norm)
+
+
+def _bits(z):
+    return struct.pack("dd", z.real, z.imag)
 
 
 def _reference_pairs(u, state):
@@ -237,6 +248,35 @@ class TestEvolve:
             assert out.terms == reference.terms, state
             for out_state, amp in out:
                 assert transition_amplitude(u, state, out_state) == amp, (state, out_state)
+
+    def test_bit_identical_across_gather_blocks(self):
+        # polar-w n=8: 3,432 H patterns of 7x7 permanents, gathered 1,024 at a time.
+        n = 8
+        u, state = dft_multiport(n), scheme2_input(n)
+        out = evolve(u, state)
+        patterns = list(combinations_with_replacement(range(n), n - 1))[::-1]  # evolve's order
+        assert len(patterns) == 3432 and len(out) == 3432 * n
+        for i in (0, 1023, 1024, 2047, 2048, len(patterns) - 1):
+            occ_h = tuple(patterns[i].count(p) for p in range(n))
+            amp_h = _single_pol_amplitude(u, state.h, occ_h)
+            for q in range(n):
+                occ_v = tuple(int(p == q) for p in range(n))
+                # A state adds each amplitude to 0.0, which turns -0.0 parts into 0.0.
+                expected = 0.0 + amp_h * _single_pol_amplitude(u, state.v, occ_v)
+                got = out.amplitude(FockState(n, occ_h, occ_v))
+                assert _bits(got) == _bits(expected), (i, q)
+
+    def test_sector_amplitudes_accept_a_generator(self):
+        # Six photons over 8 ports: 1,716 patterns, one full block and part of the next.
+        u, occ_in = random_unitary(8, np.random.default_rng(31)), (1, 1, 1, 0, 2, 0, 1, 0)
+        patterns = list(combinations_with_replacement(range(8), 6))
+        assert len(patterns) == 1716
+        from_list = list(_sector_amplitudes(u, occ_in, patterns))
+        from_generator = list(_sector_amplitudes(u, occ_in, (p for p in patterns)))
+        assert list(map(_bits, from_generator)) == list(map(_bits, from_list))
+        for i in (0, 1023, 1024, len(patterns) - 1):
+            occ = tuple(patterns[i].count(p) for p in range(8))
+            assert _bits(from_generator[i]) == _bits(_single_pol_amplitude(u, occ_in, occ)), i
 
     def test_output_term_cap_fails_before_any_work(self, monkeypatch):
         # 6 H + 6 V over 12 ports: 12,376 patterns per sector, 153 M output terms.

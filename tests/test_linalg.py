@@ -190,6 +190,29 @@ class TestPermanent:
         m = _planted_matrix(np.random.default_rng(3000 + k), k)
         assert _bits(linalg.permanent(m)) == _bits(_permanent_gray_loop(m))
 
+    @pytest.mark.parametrize("k", [*range(1, 10), 15])
+    def test_bit_identical_on_every_input_layout(self, k):
+        # The kernel's products have the bits of complex `*` only on the
+        # C-contiguous buffer it gathers, whatever the layout it is given.
+        m = _planted_matrix(np.random.default_rng(6000 + k), k)
+        big = np.zeros((2 * k, 2 * k + 1), dtype=complex)
+        big[::2, 1::2] = m
+        read_only = m.copy()
+        read_only.flags.writeable = False
+        layouts = {
+            "fortran": np.asfortranarray(m),
+            "transposed view": m.T.copy().T,
+            "strided slice": big[::2, 1::2],
+            "read-only": read_only,
+            "float": m.real.copy(),
+            "int": np.round(3 * m.real).astype(int),
+        }
+        if k > 1:  # a 1x1 view is C-contiguous whatever its strides
+            assert not layouts["transposed view"].flags.c_contiguous
+            assert not layouts["strided slice"].flags.c_contiguous
+        for name, x in layouts.items():
+            assert _bits(linalg.permanent(x)) == _bits(_permanent_gray_loop(x)), name
+
     @pytest.mark.parametrize("k", range(1, 10))
     def test_bit_identical_on_real_matrices(self, k):
         # The imaginary part of the result is a sum of signed zeros, so its

@@ -1,5 +1,8 @@
 import cmath
+import functools
+import importlib
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from wstategen.postselect import (
     fidelity,
     postselect,
 )
+
+postselect_module = importlib.import_module("wstategen.postselect")
 
 H, V = Polarization.H, Polarization.V
 
@@ -73,6 +78,25 @@ class TestPostselect:
         assert all(type(x) is int for pair in pattern.required for x in pair)
         result = postselect(w_state_path(3), pattern)
         assert abs(result.probability - 1 / 3) <= 1e-12
+
+    def test_probability_is_a_left_to_right_sum(self, monkeypatch):
+        # Since Python 3.12 the builtin sum() compensates float sums; the reported
+        # probability must keep the plain left-to-right bits on every version.
+        n = 12
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        amps /= np.linalg.norm(amps)
+        state = SuperposedState({single_photon_state(p, H, n): complex(a)
+                                 for p, a in enumerate(amps)}, n)
+        pattern = CoincidencePattern.port_counts({0: 0})
+        squares = [abs(a) ** 2 for a in state.amplitudes[pattern.mask(state)].tolist()]
+        fold = functools.reduce(operator.add, squares, 0.0)
+        assert math.fsum(squares) != fold
+        monkeypatch.setattr(postselect_module, "sum", lambda xs, start=0: math.fsum(xs) + start,
+                            raising=False)
+        result = postselect(state, pattern)
+        assert result.probability == fold
+        assert result.dropped_probability == 1.0 - fold
 
     def test_json_shape(self):
         result = postselect(scheme2_output(), CoincidencePattern.one_per_port())
