@@ -15,7 +15,7 @@ repeated submatrices with factorial normalization:
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement, islice, product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -55,14 +55,12 @@ def _sector_amplitudes(u: np.ndarray, occ_in: tuple[int, ...], outputs: Iterable
     """
     cols = u[:, [p for p, c in enumerate(occ_in) for _ in range(c)]]
     in_norm = math.prod(map(math.factorial, occ_in))
-    outputs = iter(outputs)
-    while block := list(islice(outputs, 1024)):  # one gather of k x k matrices per block
-        for ports, mat in zip(block, cols[np.array(block, dtype=np.intp, ndmin=2)]):
-            if not ports:
-                yield 1.0 + 0.0j
-                continue
-            out_norm = math.prod(map(math.factorial, map(ports.count, set(ports))))
-            yield permanent(mat) / math.sqrt(in_norm * out_norm)
+    for ports in outputs:
+        if not ports:
+            yield 1.0 + 0.0j
+            continue
+        out_norm = math.prod(map(math.factorial, map(ports.count, set(ports))))
+        yield permanent(cols.take(ports, axis=0)) / math.sqrt(in_norm * out_norm)
 
 
 def _require_compatible(u: np.ndarray, input_state: FockState) -> np.ndarray:

@@ -132,7 +132,9 @@ def fidelity(state: SuperposedState, target: SuperposedState) -> float:
     rows = [(i, j) for i, key in enumerate(row_keys(state.occupations))
             if (j := index.get(key)) is not None]
     amps, target_amps = state.amplitudes.tolist(), target.amplitudes.tolist()
-    overlap = sum((target_amps[j].conjugate() * amps[i] for i, j in rows), 0j)
+    overlap = 0j
+    for i, j in rows:  # left to right, as for the probability in `postselect`
+        overlap += target_amps[j].conjugate() * amps[i]
     value = abs(overlap) ** 2
     if value > 1.0 + NORMALIZATION_TOL:
         raise NumericalError(f"fidelity {value!r} exceeds 1: a state is not normalized")

@@ -249,8 +249,8 @@ class TestEvolve:
             for out_state, amp in out:
                 assert transition_amplitude(u, state, out_state) == amp, (state, out_state)
 
-    def test_bit_identical_across_gather_blocks(self):
-        # polar-w n=8: 3,432 H patterns of 7x7 permanents, gathered 1,024 at a time.
+    def test_bit_identical_on_polar_w_8(self):
+        # polar-w n=8: 3,432 H patterns of 7x7 permanents, sampled across the sector.
         n = 8
         u, state = dft_multiport(n), scheme2_input(n)
         out = evolve(u, state)
@@ -267,7 +267,7 @@ class TestEvolve:
                 assert _bits(got) == _bits(expected), (i, q)
 
     def test_sector_amplitudes_accept_a_generator(self):
-        # Six photons over 8 ports: 1,716 patterns, one full block and part of the next.
+        # Six photons over 8 ports: 1,716 patterns, bunched and single-photon ports.
         u, occ_in = random_unitary(8, np.random.default_rng(31)), (1, 1, 1, 0, 2, 0, 1, 0)
         patterns = list(combinations_with_replacement(range(8), 6))
         assert len(patterns) == 1716

@@ -168,6 +168,27 @@ class TestFidelity:
                 assert 0.0 <= f <= 1.0
                 assert abs(f - fidelity(y, x)) <= 1e-12
 
+    def test_overlap_is_a_left_to_right_sum(self, monkeypatch):
+        # A compensated complex sum() must not reach the overlap either.
+        n = 12
+        rng = np.random.default_rng(6)
+        x, y = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+        x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        state, target = (SuperposedState({single_photon_state(p, H, n): complex(a)
+                                          for p, a in enumerate(v)}, n) for v in (x, y))
+        terms = [t.conjugate() * a for t, a in zip(target.amplitudes.tolist(),
+                                                   state.amplitudes.tolist())]
+        fold = functools.reduce(operator.add, terms, 0j)
+        compensated = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+        assert abs(compensated) ** 2 != abs(fold) ** 2
+
+        def compensated_sum(xs, start=0):
+            xs = list(xs)
+            return start + complex(math.fsum(z.real for z in xs), math.fsum(z.imag for z in xs))
+
+        monkeypatch.setattr(postselect_module, "sum", compensated_sum, raising=False)
+        assert fidelity(state, target) == abs(fold) ** 2
+
     def test_port_mismatch_raises(self):
         with pytest.raises(ValueError):
             fidelity(w_state_path(2), w_state_path(3))

@@ -8,7 +8,9 @@ Python complex numbers, pruned with ``abs`` and added to ``0.0``, then sorted.
 Every amplitude, probability, fidelity and norm must carry the same bits.
 """
 import cmath
+import functools
 import math
+import operator
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -61,7 +63,8 @@ def _matches(state: FockState, pattern: CoincidencePattern) -> bool:
 def _reference_postselect(terms: dict, n_ports: int, pattern: CoincidencePattern):
     """(conditional terms, probability, kept terms, dropped probability)."""
     kept = {s: a for s, a in terms.items() if _matches(s, pattern)}
-    probability = sum(abs(a) ** 2 for a in kept.values())
+    # Left to right, as the 3.10/3.11 builtin sum() added them; from 3.12 on sum() compensates.
+    probability = functools.reduce(operator.add, (abs(a) ** 2 for a in kept.values()), 0.0)
     if probability < ZERO_PROBABILITY_TOL:
         return {}, 0.0, 0, 1.0
     scale = 1.0 / math.sqrt(probability)
@@ -70,7 +73,8 @@ def _reference_postselect(terms: dict, n_ports: int, pattern: CoincidencePattern
 
 
 def _reference_fidelity(terms: dict, target: dict) -> float:
-    overlap = sum((target.get(s, 0.0 + 0.0j).conjugate() * a for s, a in terms.items()), 0j)
+    overlap = functools.reduce(
+        operator.add, (target.get(s, 0.0 + 0.0j).conjugate() * a for s, a in terms.items()), 0j)
     return min(abs(overlap) ** 2, 1.0)
 
 
