@@ -46,21 +46,27 @@ def lift_to_modes(u: np.ndarray) -> np.ndarray:
     return lifted
 
 
-def _sector_amplitudes(u: np.ndarray, occ_in: tuple[int, ...], outputs: Iterable[Sequence[int]]
-                       ) -> Iterator[complex]:
+def _sector_amplitudes(u: np.ndarray, occ_in: tuple[int, ...],
+                       outputs: np.ndarray | Iterable[Sequence[int]]) -> Iterator[complex]:
     """<occ_out|U|occ_in> for photons of one polarization, per output pattern.
 
     Each pattern in ``outputs`` is the sorted list of its photons' ports,
-    one entry per photon, which is also the row list of its permanent.
+    one entry per photon, which is also the row list of its permanent;
+    ``evolve`` passes them as one (patterns, photons) index array.
     """
+    k = sum(occ_in)
     cols = u[:, [p for p, c in enumerate(occ_in) for _ in range(c)]]
     in_norm = math.prod(map(math.factorial, occ_in))
-    for ports in outputs:
-        if not ports:
-            yield 1.0 + 0.0j
-            continue
-        out_norm = math.prod(map(math.factorial, map(ports.count, set(ports))))
-        yield permanent(cols.take(ports, axis=0)) / math.sqrt(in_norm * out_norm)
+    patterns = outputs if isinstance(outputs, np.ndarray) else list(outputs)
+    ports = np.asarray(patterns, dtype=np.intp).reshape(len(patterns), k)
+    # runs[j] says which of its port's photons photon j of a sorted pattern is, so a pattern's
+    # product of runs is prod(count!): exact in int64 up to 20!, in Python ints past it.
+    runs = np.ones((k, len(ports)), dtype=np.int64)
+    for j in range(1, k):
+        runs[j] += runs[j - 1] * (ports[:, j] == ports[:, j - 1])
+    out_norms = np.multiply.reduce(runs, axis=0, dtype=np.int64 if k <= 20 else object).tolist()
+    for rows, out_norm in zip(ports, out_norms):
+        yield permanent(cols.take(rows, axis=0)) / math.sqrt(in_norm * out_norm) if k else 1 + 0j
 
 
 def _require_compatible(u: np.ndarray, input_state: FockState) -> np.ndarray:
@@ -121,7 +127,7 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
         # Add one photon per (pattern, port) entry; WORK_CAP keeps counts at most 24.
         occs = np.zeros((len(patterns), n), dtype=np.int8)
         np.add.at(occs, (np.arange(len(patterns))[:, None], ports), 1)
-        sectors.append((occs, list(_sector_amplitudes(u, occ_in, patterns))))
+        sectors.append((occs, list(_sector_amplitudes(u, occ_in, ports))))
     return SuperposedState(Product(*sectors), n)
 
 

@@ -27,8 +27,6 @@ WORK_CAP = 24 * ((1 << 24) - 1)
 
 # Gray-code steps per numpy pass in `permanent`; bounds its memory.
 _GRAY_CHUNK = 1 << 14
-_ODD_STEP_SIGNS = np.tile([-1.0, -1.0, 1.0, 1.0], _GRAY_CHUNK // 2)  # -1.0 on odd steps
-_ODD_STEP_SIGNS.flags.writeable = False
 
 
 def dft_multiport(n: int) -> np.ndarray:
@@ -95,33 +93,34 @@ def permanent(m: np.ndarray) -> complex:
 
     rowsum, total = 0j, 0j
     n_steps = (1 << n) - 1
+    # Row c of the table is column c of ``a``, row n + c its exact negation (signed zeros too).
+    table = np.concatenate((a.T, np.negative(a.T)))
     for start in range(0, n_steps, _GRAY_CHUNK):
-        cols, signs = _gray_plan(start // _GRAY_CHUNK)
-        steps = a.T.take(cols[:n_steps - start], axis=0)
-        # Times +-1.0 on the float parts is exact, signed zeros included.
-        parts = steps.view(np.float64)
-        np.multiply(parts, signs[:len(steps)], out=parts)
+        rows, offsets = _gray_plan(n, start // _GRAY_CHUNK)
+        steps = table.take(rows, axis=0)
         steps[0] += rowsum
         np.add.accumulate(steps, axis=0, out=steps)
         rowsum = steps[-1]
-        # Row-wise on this C-contiguous buffer the products have the bits of complex `*`.
-        prods = np.multiply.reduce(steps, axis=1)
+        # Left to right along each row of this C-contiguous buffer: the bits of complex `*`.
+        prods = np.multiply.reduceat(steps.ravel(), offsets)
         # Row r is step start + r + 1; a step's subset has odd size iff the step is odd.
-        parts = prods.view(np.float64)
-        np.multiply(parts, _ODD_STEP_SIGNS[:len(parts)], out=parts)
+        odd = prods[::2]
+        np.negative(odd, out=odd)
         prods[0] += total
         total = np.add.accumulate(prods)[-1]
     return complex(total) if n % 2 == 0 else -complex(total)
 
 
 @functools.lru_cache(maxsize=16)
-def _gray_plan(chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flipped column and sign (-1.0: removed) of steps ``chunk*2^14 + 1 .. (chunk + 1)*2^14``."""
-    i = np.arange(chunk * _GRAY_CHUNK + 1, (chunk + 1) * _GRAY_CHUNK + 1, dtype=np.int64)
+def _gray_plan(n: int, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Table rows (column c, or n + c if it is removed) and row offsets of chunk ``chunk``."""
+    last = min((chunk + 1) * _GRAY_CHUNK, (1 << n) - 1)
+    i = np.arange(chunk * _GRAY_CHUNK + 1, last + 1, dtype=np.int64)
     cols = (np.frexp((i & -i).astype(float))[1] - 1).astype(np.intp)
-    signs = np.where(((i ^ (i >> 1)) >> cols) & 1 == 0, -1.0, 1.0)[:, None]
-    cols.flags.writeable = signs.flags.writeable = False  # shared through the cache
-    return cols, signs
+    rows = np.where(((i ^ (i >> 1)) >> cols) & 1 == 0, cols + n, cols)
+    offsets = np.arange(0, rows.size * n, n, dtype=np.intp)
+    rows.flags.writeable = offsets.flags.writeable = False  # shared through the cache
+    return rows, offsets
 
 
 def permanent_naive(m: np.ndarray) -> complex:

@@ -278,6 +278,25 @@ class TestEvolve:
             occ = tuple(patterns[i].count(p) for p in range(8))
             assert _bits(from_generator[i]) == _bits(_single_pol_amplitude(u, occ_in, occ)), i
 
+    def test_norms_past_int64_on_one_port(self):
+        # 21! is over int64's 20! limit. `evolve` admits 21 photons only on one port
+        # and passes its patterns as an index array; its norm check then fails, since
+        # the Gray-code sum of the all-ones 21x21 matrix is off by about 1e-6.
+        u, occ = np.eye(1), (21,)
+        expected = _single_pol_amplitude(u, occ, occ)
+        got = next(_sector_amplitudes(u, occ, np.zeros((1, 21), dtype=np.intp)))
+        assert _bits(got) == _bits(expected)
+        state = FockState(1, occ, (0,))
+        assert _bits(transition_amplitude(u, state, state)) == _bits(expected * (1.0 + 0.0j))
+
+    @pytest.mark.parametrize("occ_out", [(21, 0), (11, 10)])
+    def test_norms_past_int64_on_beam_splitter(self, occ_out):
+        # `transition_amplitude` takes any photon number the work cap admits.
+        u, occ_in = dft_multiport(2), (21, 0)
+        expected = _single_pol_amplitude(u, occ_in, occ_out) * (1.0 + 0.0j)
+        got = transition_amplitude(u, FockState(2, occ_in, (0, 0)), FockState(2, occ_out, (0, 0)))
+        assert _bits(got) == _bits(expected)
+
     def test_output_term_cap_fails_before_any_work(self, monkeypatch):
         # 6 H + 6 V over 12 ports: 12,376 patterns per sector, 153 M output terms.
         def no_permanent(m):

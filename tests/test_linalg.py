@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -253,6 +254,22 @@ class TestPermanent:
             scaled[row] *= s
             base = linalg.permanent(m)
             assert abs(linalg.permanent(scaled) - s * base) <= 1e-9 * max(1.0, abs(s * base))
+
+    def test_plan_cache_stays_bounded(self):
+        # A cached plan holds two 8-byte indices per Gray-code step, so the 16 plans
+        # of 2^14 steps that k = 18 alone fills take 4 MiB; a (steps, k) sign table
+        # per plan would take 2.4 MB each at k = 18.
+        matrices = [np.full((k, k), 0.5 + 0.25j) for k in range(2, 19)]
+        linalg._gray_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for m in matrices:
+                linalg.permanent(m)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 16 * 2 * 8 * linalg._GRAY_CHUNK + (64 << 10)
 
     def test_rejects_empty_and_non_square(self):
         with pytest.raises(ValueError):
