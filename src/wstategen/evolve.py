@@ -55,18 +55,20 @@ def _sector_amplitudes(u: np.ndarray, occ_in: tuple[int, ...],
     ``evolve`` passes them as one (patterns, photons) index array.
     """
     k = sum(occ_in)
+    if not k:
+        yield from (1.0 + 0.0j for _ in outputs)
+        return
     cols = u[:, [p for p, c in enumerate(occ_in) for _ in range(c)]]
     in_norm = math.prod(map(math.factorial, occ_in))
-    patterns = outputs if isinstance(outputs, np.ndarray) else list(outputs)
-    ports = np.asarray(patterns, dtype=np.intp).reshape(len(patterns), k)
-    # runs[j] says which of its port's photons photon j of a sorted pattern is, so a pattern's
-    # product of runs is prod(count!): exact in int64 up to 20!, in Python ints past it.
+    ports = np.asarray(outputs if isinstance(outputs, np.ndarray) else list(outputs),
+                       dtype=np.intp).reshape(-1, k)
+    # runs[j] ranks photon j of a sorted pattern at its port; prod(runs) = prod(count!), exact.
     runs = np.ones((k, len(ports)), dtype=np.int64)
     for j in range(1, k):
         runs[j] += runs[j - 1] * (ports[:, j] == ports[:, j - 1])
     out_norms = np.multiply.reduce(runs, axis=0, dtype=np.int64 if k <= 20 else object).tolist()
     for rows, out_norm in zip(ports, out_norms):
-        yield permanent(cols.take(rows, axis=0)) / math.sqrt(in_norm * out_norm) if k else 1 + 0j
+        yield permanent(cols.take(rows, axis=0)) / math.sqrt(in_norm * out_norm)
 
 
 def _require_compatible(u: np.ndarray, input_state: FockState) -> np.ndarray:

@@ -92,10 +92,9 @@ def permanent(m: np.ndarray) -> complex:
         return -(0j - (0j + complex(a[0, 0])))
 
     rowsum, total = 0j, 0j
-    n_steps = (1 << n) - 1
     # Row c of the table is column c of ``a``, row n + c its exact negation (signed zeros too).
     table = np.concatenate((a.T, np.negative(a.T)))
-    for start in range(0, n_steps, _GRAY_CHUNK):
+    for start in range(0, (1 << n) - 1, _GRAY_CHUNK):
         rows, offsets = _gray_plan(n, start // _GRAY_CHUNK)
         steps = table.take(rows, axis=0)
         steps[0] += rowsum
@@ -114,8 +113,7 @@ def permanent(m: np.ndarray) -> complex:
 @functools.lru_cache(maxsize=16)
 def _gray_plan(n: int, chunk: int) -> tuple[np.ndarray, np.ndarray]:
     """Table rows (column c, or n + c if it is removed) and row offsets of chunk ``chunk``."""
-    last = min((chunk + 1) * _GRAY_CHUNK, (1 << n) - 1)
-    i = np.arange(chunk * _GRAY_CHUNK + 1, last + 1, dtype=np.int64)
+    i = np.arange(chunk * _GRAY_CHUNK, min((chunk + 1) * _GRAY_CHUNK, (1 << n) - 1)) + 1
     cols = (np.frexp((i & -i).astype(float))[1] - 1).astype(np.intp)
     rows = np.where(((i ^ (i >> 1)) >> cols) & 1 == 0, cols + n, cols)
     offsets = np.arange(0, rows.size * n, n, dtype=np.intp)
