@@ -15,8 +15,7 @@ repeated submatrices with factorial normalization:
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement, product as iproduct
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, combinations_with_replacement, product as iproduct
 
 import numpy as np
 
@@ -46,29 +45,31 @@ def lift_to_modes(u: np.ndarray) -> np.ndarray:
     return lifted
 
 
-def _sector_amplitudes(u: np.ndarray, occ_in: tuple[int, ...],
-                       outputs: np.ndarray | Iterable[Sequence[int]]) -> Iterator[complex]:
-    """<occ_out|U|occ_in> for photons of one polarization, per output pattern.
+def _sector(u: np.ndarray, occ_in: tuple[int, ...]) -> tuple[np.ndarray, list[complex]]:
+    """Every output pattern of one polarization's photons, and <occ_out|U|occ_in> for each.
 
-    Each pattern in ``outputs`` is the sorted list of its photons' ports,
-    one entry per photon, which is also the row list of its permanent;
-    ``evolve`` passes them as one (patterns, photons) index array.
+    Returns the int8 occupation table, one row per pattern in ascending
+    order (``WORK_CAP`` keeps counts at most 24), and the amplitudes.
     """
-    k = sum(occ_in)
+    n, k = len(occ_in), sum(occ_in)
+    count = math.comb(n + k - 1, k)
+    # Each pattern is the sorted list of its photons' ports, which is also the row list of its
+    # permanent; they come in descending occupation order, so reversed they ascend.
+    ports = np.fromiter(chain.from_iterable(combinations_with_replacement(range(n), k)),
+                        np.intp, count * k).reshape(count, k)[::-1]
+    occs = np.bincount((ports + n * np.arange(count)[:, None]).ravel(),
+                       minlength=count * n).reshape(count, n).astype(np.int8)
     if not k:
-        yield from (1.0 + 0.0j for _ in outputs)
-        return
-    cols = u[:, [p for p, c in enumerate(occ_in) for _ in range(c)]]
+        return occs, [1.0 + 0.0j]
+    cols = u[:, np.arange(n).repeat(occ_in)]
     in_norm = math.prod(map(math.factorial, occ_in))
-    ports = np.asarray(outputs if isinstance(outputs, np.ndarray) else list(outputs),
-                       dtype=np.intp).reshape(-1, k)
     # runs[j] ranks photon j of a sorted pattern at its port; prod(runs) = prod(count!), exact.
-    runs = np.ones((k, len(ports)), dtype=np.int64)
+    runs = np.ones((k, count), dtype=np.int64)
     for j in range(1, k):
         runs[j] += runs[j - 1] * (ports[:, j] == ports[:, j - 1])
     out_norms = np.multiply.reduce(runs, axis=0, dtype=np.int64 if k <= 20 else object).tolist()
-    for rows, out_norm in zip(ports, out_norms):
-        yield permanent(cols.take(rows, axis=0)) / math.sqrt(in_norm * out_norm)
+    return occs, [permanent(cols.take(rows, axis=0)) / math.sqrt(in_norm * out_norm)
+                  for rows, out_norm in zip(ports, out_norms)]
 
 
 def _require_compatible(u: np.ndarray, input_state: FockState) -> np.ndarray:
@@ -90,10 +91,17 @@ def transition_amplitude(u: np.ndarray, input_state: FockState,
         )
     if input_state.photons_per_pol() != output_state.photons_per_pol():
         return 0.0 + 0.0j
+    # Before any index list: 25 photons are over the cap alone, and min() keeps 2^k small.
+    k = max(sum(input_state.h), sum(input_state.v))
+    if permanent_work(min(k, 25)) > WORK_CAP:
+        raise CapacityError(f"a {k}x{k} permanent is over the {WORK_CAP} multiply-add work cap")
+    ports = np.arange(input_state.n_ports)
 
     def sector(occ_in: tuple[int, ...], occ_out: tuple[int, ...]) -> complex:
-        ports = [p for p, c in enumerate(occ_out) for _ in range(c)]
-        return next(_sector_amplitudes(u, occ_in, [ports]))
+        if not sum(occ_in):
+            return 1.0 + 0.0j
+        norm = math.prod(map(math.factorial, occ_in + occ_out))
+        return permanent(u[np.ix_(ports.repeat(occ_out), ports.repeat(occ_in))]) / math.sqrt(norm)
 
     return sector(input_state.h, output_state.h) * sector(input_state.v, output_state.v)
 
@@ -121,16 +129,7 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
         raise CapacityError(f"{k_h} H and {k_v} V photons over {n} ports need at least {work} "
                             f"multiply-adds, over the {WORK_CAP} work cap")
 
-    sectors = []
-    for occ_in in (input_state.h, input_state.v):
-        # The patterns come in descending occupation order; the terms go in ascending.
-        patterns = list(combinations_with_replacement(range(n), sum(occ_in)))[::-1]
-        ports = np.array(patterns, dtype=np.intp, ndmin=2)  # 2-D for the photon-free () too
-        # Add one photon per (pattern, port) entry; WORK_CAP keeps counts at most 24.
-        occs = np.zeros((len(patterns), n), dtype=np.int8)
-        np.add.at(occs, (np.arange(len(patterns))[:, None], ports), 1)
-        sectors.append((occs, list(_sector_amplitudes(u, occ_in, ports))))
-    return SuperposedState(Product(*sectors), n)
+    return SuperposedState(Product(_sector(u, input_state.h), _sector(u, input_state.v)), n)
 
 
 def oracle_evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:

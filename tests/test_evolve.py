@@ -10,7 +10,7 @@ import pytest
 
 from wstategen.errors import CapacityError, NumericalError
 from wstategen.evolve import (
-    _sector_amplitudes,
+    _sector,
     evolve,
     lift_to_modes,
     oracle_evolve,
@@ -266,26 +266,26 @@ class TestEvolve:
                 got = out.amplitude(FockState(n, occ_h, occ_v))
                 assert _bits(got) == _bits(expected), (i, q)
 
-    def test_sector_amplitudes_accept_a_generator(self):
+    def test_sector_matches_per_pattern_glue_on_bunched_input(self):
         # Six photons over 8 ports: 1,716 patterns, bunched and single-photon ports.
         u, occ_in = random_unitary(8, np.random.default_rng(31)), (1, 1, 1, 0, 2, 0, 1, 0)
-        patterns = list(combinations_with_replacement(range(8), 6))
-        assert len(patterns) == 1716
-        from_list = list(_sector_amplitudes(u, occ_in, patterns))
-        from_generator = list(_sector_amplitudes(u, occ_in, (p for p in patterns)))
-        assert list(map(_bits, from_generator)) == list(map(_bits, from_list))
-        for i in (0, 1023, 1024, len(patterns) - 1):
-            occ = tuple(patterns[i].count(p) for p in range(8))
-            assert _bits(from_generator[i]) == _bits(_single_pol_amplitude(u, occ_in, occ)), i
+        occs, amps = _sector(u, occ_in)
+        expected = sorted(tuple(ports.count(p) for p in range(8))
+                          for ports in combinations_with_replacement(range(8), 6))
+        assert len(expected) == 1716 and occs.dtype == np.int8
+        assert list(map(tuple, occs.tolist())) == expected
+        assert list(map(_bits, amps)) == [_bits(_single_pol_amplitude(u, occ_in, occ))
+                                          for occ in expected]
 
     def test_norms_past_int64_on_one_port(self):
-        # 21! is over int64's 20! limit. `evolve` admits 21 photons only on one port
-        # and passes its patterns as an index array; its norm check then fails, since
-        # the Gray-code sum of the all-ones 21x21 matrix is off by about 1e-6.
+        # 21! is over int64's 20! limit. `evolve` admits 21 photons only on one port,
+        # where its norm check then fails, since the Gray-code sum of the all-ones
+        # 21x21 matrix is off by about 1e-6.
         u, occ = np.eye(1), (21,)
         expected = _single_pol_amplitude(u, occ, occ)
-        got = next(_sector_amplitudes(u, occ, np.zeros((1, 21), dtype=np.intp)))
-        assert _bits(got) == _bits(expected)
+        occs, amps = _sector(u, occ)
+        assert occs.tolist() == [[21]] and len(amps) == 1
+        assert _bits(amps[0]) == _bits(expected)
         state = FockState(1, occ, (0,))
         assert _bits(transition_amplitude(u, state, state)) == _bits(expected * (1.0 + 0.0j))
 
@@ -322,6 +322,17 @@ class TestEvolve:
         monkeypatch.setattr(evolve_module, "permanent", no_permanent)
         with pytest.raises(CapacityError, match="6190165800 multiply-adds"):
             evolve(dft_multiport(9), product_input([(0, H)] * 12, 9))
+
+    @pytest.mark.parametrize("k_h, k_v", [(25, 0), (0, 25), (10**18, 0)])
+    def test_transition_amplitude_work_cap_fails_before_any_work(self, monkeypatch, k_h, k_v):
+        # A 25x25 permanent is over the cap; the matrix must not be built to find out.
+        def no_permanent(m):
+            raise AssertionError("permanent called past the cap check")
+
+        monkeypatch.setattr(evolve_module, "permanent", no_permanent)
+        state = FockState(1, (k_h,), (k_v,))
+        with pytest.raises(CapacityError, match="work cap"):
+            transition_amplitude(np.eye(1), state, state)
 
     def test_huge_count_on_one_port_is_capped(self):
         # One pattern, but 2^k for k = 10^18 would exhaust memory before the check.

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from wstategen.evolve import _sector_amplitudes, evolve
+from wstategen.evolve import evolve
 from wstategen.fock import (
     AMPLITUDE_PRUNE_TOL,
     FockState,
@@ -25,7 +25,7 @@ from wstategen.fock import (
     w_state_path,
     w_state_polarization,
 )
-from wstategen.linalg import canonical_quarter, dft_multiport
+from wstategen.linalg import canonical_quarter, dft_multiport, permanent
 from wstategen.postselect import ZERO_PROBABILITY_TOL, CoincidencePattern, fidelity, postselect
 
 
@@ -42,15 +42,33 @@ def _reference_terms(terms, n_ports: int) -> dict:
     return dict(sorted(kept.items()))
 
 
-def _reference_evolve(u: np.ndarray, state: FockState) -> dict:
+def _reference_amplitude(u: np.ndarray, occ_in: tuple, occ_out: tuple) -> complex:
+    """<occ_out|U|occ_in> for one polarization: the per-pattern permanent and factorial norm."""
+    if not sum(occ_in):
+        return 1.0 + 0.0j
+    rows = [p for p, c in enumerate(occ_out) for _ in range(c)]
+    cols = [p for p, c in enumerate(occ_in) for _ in range(c)]
+    in_norm = math.prod(math.factorial(c) for c in occ_in)
+    out_norm = math.prod(math.factorial(c) for c in occ_out)
+    return permanent(u[np.ix_(rows, cols)]) / math.sqrt(in_norm * out_norm)
+
+
+def _reference_sectors(u: np.ndarray, state: FockState) -> list:
+    """(occupation, amplitude) of every output pattern, per polarization."""
     n = state.n_ports
     per_pol = []
     for occ_in in (state.h, state.v):
-        patterns = list(combinations_with_replacement(range(n), sum(occ_in)))
+        patterns = combinations_with_replacement(range(n), sum(occ_in))
         occs = [tuple(ports.count(p) for p in range(n)) for ports in patterns]
-        per_pol.append(list(zip(occs, _sector_amplitudes(u, occ_in, patterns))))
+        per_pol.append([(occ, _reference_amplitude(u, occ_in, occ)) for occ in occs])
+    return per_pol
+
+
+def _reference_evolve(u: np.ndarray, state: FockState) -> dict:
+    n = state.n_ports
     return _reference_terms(((FockState(n, occ_h, occ_v), amp_h * amp_v)
-                             for (occ_h, amp_h), (occ_v, amp_v) in product(*per_pol)), n)
+                             for (occ_h, amp_h), (occ_v, amp_v)
+                             in product(*_reference_sectors(u, state))), n)
 
 
 def _matches(state: FockState, pattern: CoincidencePattern) -> bool:
@@ -186,10 +204,7 @@ def test_cases_cover_pruning_signed_zeros_and_long_sums():
     pruned = signed_zero = long_kept = 0
     for n, coupler, name in CASES:
         u, state = _couplers(n)[coupler], _inputs(n)[name]
-        per_pol = [list(_sector_amplitudes(
-            u, occ_in, combinations_with_replacement(range(n), sum(occ_in))))
-            for occ_in in (state.h, state.v)]
-        products = [a * b for a, b in product(*per_pol)]
+        products = [a * b for (_, a), (_, b) in product(*_reference_sectors(u, state))]
         pruned += len(evolve(u, state)) < len(products)
         signed_zero += any(math.copysign(1.0, x) < 0 for z in products for x in (z.real, z.imag)
                            if x == 0.0)
