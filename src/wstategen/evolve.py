@@ -72,23 +72,20 @@ def _sector(u: np.ndarray, occ_in: tuple[int, ...]) -> tuple[np.ndarray, list[co
                   for rows, out_norm in zip(ports, out_norms)]
 
 
-def _require_compatible(u: np.ndarray, input_state: FockState) -> np.ndarray:
+def _require_compatible(u: np.ndarray, *states: FockState) -> np.ndarray:
     u = square(u)
-    if u.shape[0] != input_state.n_ports:
-        raise ValueError(
-            f"matrix is {u.shape[0]}x{u.shape[0]} but state has {input_state.n_ports} ports"
-        )
+    for state in states:
+        if u.shape[0] != state.n_ports:
+            raise ValueError(
+                f"matrix is {u.shape[0]}x{u.shape[0]} but state has {state.n_ports} ports"
+            )
     return u
 
 
 def transition_amplitude(u: np.ndarray, input_state: FockState,
                          output_state: FockState) -> complex:
     """Exact amplitude <output|U|input>; zero unless photon counts match per polarization."""
-    u = _require_compatible(u, input_state)
-    if output_state.n_ports != input_state.n_ports:
-        raise ValueError(
-            f"input has {input_state.n_ports} ports, output has {output_state.n_ports}"
-        )
+    u = _require_compatible(u, input_state, output_state)
     if input_state.photons_per_pol() != output_state.photons_per_pol():
         return 0.0 + 0.0j
     # Before any index list: 25 photons are over the cap alone, and min() keeps 2^k small.

@@ -14,7 +14,6 @@ value; a :class:`SuperposedState` defines only equality and is unhashable.
 """
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import operator
@@ -257,8 +256,6 @@ class SuperposedState:
             sums: dict[FockState, complex] = {}
             for state, amp in items:
                 amp = complex(amp)
-                if not cmath.isfinite(amp):
-                    raise ValueError(f"non-finite amplitude for {state}")
                 if abs(amp) < AMPLITUDE_PRUNE_TOL:
                     continue
                 if state.n_ports != n_ports:

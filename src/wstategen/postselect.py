@@ -47,15 +47,12 @@ class CoincidencePattern:
                 raise ValueError(f"required count {count} for port {port} is negative")
         return cls(required=required)
 
-    def validate_for(self, n_ports: int) -> None:
-        if self.required is not None:
-            for port, _ in self.required:
-                if port >= n_ports:
-                    raise ValueError(f"pattern references port {port}, device has {n_ports}")
-
     def mask(self, state: SuperposedState) -> np.ndarray:
-        """Which terms of ``state`` match, from their spatial counts ``h + v``."""
+        """Which terms of ``state`` match (spatial counts ``h + v``); ValueError past its ports."""
         n = state.n_ports
+        for port, _ in self.required or ():
+            if port >= n:
+                raise ValueError(f"pattern references port {port}, device has {n}")
         occ = state.occupations
         spatial = occ[:, :n] + occ[:, n:]
         if self.required is None:
@@ -90,7 +87,6 @@ def postselect(state: SuperposedState, pattern: CoincidencePattern) -> PostSelec
     When the kept weight is below ``ZERO_PROBABILITY_TOL`` the conditional
     state is empty rather than renormalized noise.
     """
-    pattern.validate_for(state.n_ports)
     mask = pattern.mask(state)
     kept = state.amplitudes[mask].tolist()
     probability = 0.0
@@ -110,7 +106,6 @@ def branch_amplitude_report(
     state: SuperposedState, pattern: CoincidencePattern
 ) -> list[tuple[FockState, complex]]:
     """Kept terms with their pre-renormalization amplitudes, in deterministic order."""
-    pattern.validate_for(state.n_ports)
     mask = pattern.mask(state)
     return list(zip(fock_states(state.n_ports, state.occupations[mask]),
                     state.amplitudes[mask].tolist()))

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import jsontext, linalg
-from .errors import NumericalError, integer, size
+from .errors import NumericalError, size
 from .fock import (
     FockState,
     Polarization,
@@ -92,9 +92,6 @@ def run_path_w(n: int, input_port: int = 0) -> SchemeReport:
     phases, so |amp|^2 is uniform while the raw fidelity is not 1.
     """
     n = size(n, "port count", 2)
-    input_port = integer(input_port, "ports")
-    if not 0 <= input_port < n:
-        raise ValueError(f"input port {input_port} out of range for {n} ports")
     u = linalg.dft_multiport(n)
     out, amps = _single_photon_output(u, input_port)
     probs = tuple(abs(amp) ** 2 for amp in amps)

@@ -156,11 +156,17 @@ class TestTransitionAmplitude:
                 assert transition_amplitude(u, state, out_state) == amp, (state, out_state)
 
     def test_port_mismatch_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^matrix is 3x3 but state has 2 ports$"):
             transition_amplitude(
                 dft_multiport(3),
                 single_photon_state(0, H, 3),
                 single_photon_state(0, H, 2),
+            )
+        with pytest.raises(ValueError, match=r"^matrix is 3x3 but state has 4 ports$"):
+            transition_amplitude(
+                dft_multiport(3),
+                single_photon_state(0, H, 3),
+                single_photon_state(0, H, 4),
             )
 
 

@@ -67,6 +67,11 @@ class TestPostselect:
         with pytest.raises(ValueError):
             postselect(w_state_path(3), CoincidencePattern.port_counts({5: 1}))
 
+    def test_mask_names_the_first_port_the_state_lacks(self):
+        pattern = CoincidencePattern.port_counts({7: 0, 0: 1, 5: 1})
+        with pytest.raises(ValueError, match=r"^pattern references port 5, device has 3$"):
+            pattern.mask(w_state_path(3))
+
     @pytest.mark.parametrize("counts", [{0: 1.5}, {0: 1.0}, {0.0: 1}, {0: "1"}])
     def test_non_integer_port_or_count_rejected(self, counts):
         with pytest.raises(ValueError, match="must be integers"):

@@ -44,6 +44,10 @@ class TestRunPathW:
         with pytest.raises(ValueError):
             run_path_w(n, port)
 
+    def test_input_port_checked_by_the_state(self):
+        with pytest.raises(ValueError, match=r"^port 5 out of range for 3 ports$"):
+            run_path_w(3, 5)
+
 
 class TestRunPolarizationW:
     def test_n3(self):
