@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import jsontext, linalg
-from .errors import CapacityError, NumericalError
+from .errors import CapacityError, NumericalError, json_fields, size
 from .evolve import evolve as evolve_state
 from .fock import FockState, SuperposedState
 from .postselect import CoincidencePattern, postselect
@@ -141,7 +141,7 @@ def _load_json(path: str, what: str, parse):
     try:
         with open(path) as f:
             return parse(json.load(f))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"cannot read {what} from {path}: {exc}") from exc
 
 
@@ -175,7 +175,15 @@ def cmd_design(args, stream) -> None:
 
 def cmd_evolve(args, stream) -> None:
     u = _load_json(args.matrix, "matrix", linalg.matrix_from_json_obj)
-    input_state = _load_json(args.input, "input state", FockState.from_json_obj)
+
+    def read_state(raw) -> FockState:
+        # Before from_counts, which allocates per port: a short file can ask for billions.
+        n_ports = size(*json_fields(raw, "Fock state JSON", nPorts=object), "n_ports", 1)
+        if n_ports != len(u):
+            raise ValueError(f"matrix is {len(u)}x{len(u)} but state has {n_ports} ports")
+        return FockState.from_json_obj(raw)
+
+    input_state = _load_json(args.input, "input state", read_state)
     out = evolve_state(u, input_state)
 
     result = None

@@ -111,8 +111,6 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
     major. Over ``PATTERN_CAP`` terms or ``WORK_CAP`` multiply-adds: CapacityError.
     """
     u = _require_compatible(u, input_state)
-    if not verify_unitary(u):
-        raise NumericalError(f"matrix not unitary within {UNITARITY_TOL}")
     n, k_h, k_v = input_state.n_ports, sum(input_state.h), sum(input_state.v)
     p_h, p_v = math.comb(n + k_h - 1, k_h), math.comb(n + k_v - 1, k_v)
     if p_h * p_v > PATTERN_CAP:
@@ -125,7 +123,9 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
     if work > WORK_CAP:
         raise CapacityError(f"{k_h} H and {k_v} V photons over {n} ports need at least {work} "
                             f"multiply-adds, over the {WORK_CAP} work cap")
-
+    # After the caps: they are integer arithmetic, this is an n x n matmul.
+    if not verify_unitary(u):
+        raise NumericalError(f"matrix not unitary within {UNITARITY_TOL}")
     return SuperposedState(Product(_sector(u, input_state.h), _sector(u, input_state.v)), n)
 
 

@@ -48,8 +48,8 @@ def canonical_quarter() -> np.ndarray:
     polarization scheme to equal amplitudes, which is what the scheme's
     1/16-probability W-state output requires.
     """
-    h2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    return np.kron(h2, h2).astype(complex)
+    h = np.array([[1, 1], [1, -1]])
+    return (np.kron(h, h) / 2).astype(complex)
 
 
 def square(m: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from wstategen import linalg, schemes
 from wstategen.cli import RATIONAL_TOL, main, rational_note, rational_notes
 from wstategen.errors import NumericalError
 from wstategen.evolve import evolve
-from wstategen.fock import Polarization, product_input
+from wstategen.fock import FockState, Polarization, product_input
 
 H, V = Polarization.H, Polarization.V
 
@@ -250,6 +250,33 @@ class TestEvolve:
                           "--input", scheme2_path)
         assert code == 3
         assert "not normalized" in capsys.readouterr().err
+
+    def test_state_ports_checked_before_the_state_is_built(self, tritter_path, tmp_path,
+                                                           monkeypatch, capsys):
+        # 35 bytes that would have from_counts allocate about 6 GB.
+        def no_build(cls, counts, n_ports):
+            raise AssertionError("state built before its port count was checked")
+
+        monkeypatch.setattr(FockState, "from_counts", classmethod(no_build))
+        input_path = tmp_path / "input.json"
+        input_path.write_text('{"nPorts": 200000000, "occ": []}')
+        code, text = run_cli("evolve", "--matrix", tritter_path, "--input", str(input_path))
+        assert (code, text) == (2, "")
+        assert "matrix is 3x3 but state has 200000000 ports" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--matrix", "--input", "--target"])
+    def test_json_nested_too_deep_exits_2(self, flag, tritter_path, scheme2_path,
+                                          tmp_path, capsys):
+        # Valid JSON that json.load cannot parse; json.dumps cannot write it either.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        if flag == "--target":
+            argv = ["design", "--target", str(deep), "--out", str(tmp_path / "u.json")]
+        else:
+            paths = {"--matrix": tritter_path, "--input": scheme2_path, flag: str(deep)}
+            argv = ["evolve", "--matrix", paths["--matrix"], "--input", paths["--input"]]
+        assert run_cli(*argv) == (2, "")
+        assert "error: cannot read" in capsys.readouterr().err
 
     def test_non_integer_count_exits_2(self, tritter_path, tmp_path, capsys):
         input_path = tmp_path / "input.json"

@@ -308,7 +308,11 @@ class TestEvolve:
         def no_permanent(m):
             raise AssertionError("permanent called past the cap check")
 
+        def no_verify(m):
+            raise AssertionError("unitarity checked before the cap check")
+
         monkeypatch.setattr(evolve_module, "permanent", no_permanent)
+        monkeypatch.setattr(evolve_module, "verify_unitary", no_verify)
         state = product_input([(p, H if p % 2 else V) for p in range(12)], 12)
         tracemalloc.start()
         try:
@@ -325,7 +329,11 @@ class TestEvolve:
         def no_permanent(m):
             raise AssertionError("permanent called past the cap check")
 
+        def no_verify(m):
+            raise AssertionError("unitarity checked before the cap check")
+
         monkeypatch.setattr(evolve_module, "permanent", no_permanent)
+        monkeypatch.setattr(evolve_module, "verify_unitary", no_verify)
         with pytest.raises(CapacityError, match="6190165800 multiply-adds"):
             evolve(dft_multiport(9), product_input([(0, H)] * 12, 9))
 

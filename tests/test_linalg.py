@@ -135,6 +135,11 @@ class TestCanonicalQuarter:
         assert linalg.verify_unitary(q, 1e-12)
         assert np.allclose(np.abs(q), 0.5)
 
+    def test_entries_are_exactly_half(self):
+        q = linalg.canonical_quarter()
+        assert q.dtype == np.complex128
+        assert np.all(q.imag == 0) and set(q.real.ravel().tolist()) == {0.5, -0.5}
+
 
 class TestVerifyUnitary:
     def test_identity(self):

@@ -61,6 +61,12 @@ class TestRunPolarizationW:
         assert abs(report.success_probability - 1 / 16) <= 1e-9
         assert abs(report.fidelity_to_target - 1.0) <= 1e-9
 
+    def test_n4_probability_is_exactly_one_sixteenth(self):
+        # Exact +-1/2 coupler entries: every kept amplitude is a sum of exact dyadic terms.
+        report = run_polarization_w(4)
+        assert report.success_probability == 1 / 16
+        assert report.post_selection.dropped_probability == 15 / 16
+
     def test_n5_reported_as_unpublished(self):
         report = run_polarization_w(5)
         assert report.reference_note == "computed, no published reference"
