@@ -178,7 +178,7 @@ def cmd_evolve(args, stream) -> None:
 
     def read_state(raw) -> FockState:
         # Before from_counts, which allocates per port: a short file can ask for billions.
-        n_ports = size(*json_fields(raw, "Fock state JSON", nPorts=object), "n_ports", 1)
+        n_ports = size(json_fields(raw, "Fock state JSON", nPorts=object)[0], "n_ports", 1)
         if n_ports != len(u):
             raise ValueError(f"matrix is {len(u)}x{len(u)} but state has {n_ports} ports")
         return FockState.from_json_obj(raw)
