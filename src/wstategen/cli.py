@@ -30,7 +30,7 @@ from .errors import CapacityError, NumericalError, json_fields, size
 from .evolve import evolve as evolve_state
 from .fock import FockState, SuperposedState
 from .postselect import CoincidencePattern, postselect
-from .schemes import SchemeReport, run_path_w, run_polarization_w
+from .schemes import run_path_w, run_polarization_w
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -80,47 +80,6 @@ def rational_notes(values: Sequence[float]) -> list[str]:
     return notes
 
 
-def _report_rows(report: SchemeReport) -> list[tuple[str, float]]:
-    rows = [
-        ("successProbability", report.success_probability),
-        ("fidelityToTarget", report.fidelity_to_target),
-    ]
-    if report.post_selection is not None:
-        rows.append(("keptTerms", float(report.post_selection.kept_terms)))
-        rows.append(("droppedProbability", report.post_selection.dropped_probability))
-    return rows
-
-
-def _print_path_w(report: SchemeReport, fmt: str, stream) -> None:
-    if fmt == "json":
-        stream.write(report.to_json())
-    elif fmt == "csv":
-        stream.write("port,probability\n")
-        for port, prob in enumerate(report.port_probabilities):
-            stream.write(f"{port},{fmt12(prob)}\n")
-    else:
-        stream.write(f"path-W scheme, n={report.n}, input through DFT multiport\n")
-        for port, prob in enumerate(report.port_probabilities):
-            stream.write(f"  port {port}: probability {fmt12(prob)}{rational_note(prob)}\n")
-        stream.write(f"  success probability: {fmt12(report.success_probability)}"
-                     f"{rational_note(report.success_probability)}\n")
-        stream.write(f"  fidelity to uniform-phase W: {fmt12(report.fidelity_to_target)}\n")
-        stream.write(f"  probability distribution uniform: {report.probability_uniform}\n")
-
-
-def _print_polar_w(report: SchemeReport, fmt: str, stream) -> None:
-    if fmt == "json":
-        stream.write(report.to_json())
-    elif fmt == "csv":
-        stream.write("metric,value\n")
-        for name, value in _report_rows(report):
-            stream.write(f"{name},{fmt12(value)}\n")
-    else:
-        stream.write(f"polarization-W scheme, n={report.n} ({report.reference_note})\n")
-        for name, value in _report_rows(report):
-            stream.write(f"  {name}: {fmt12(value)}{rational_note(value)}\n")
-
-
 def _print_superposed(state: SuperposedState, fmt: str, stream, heading: str) -> None:
     kets = state.kets()
     amps = state.amplitudes.tolist()
@@ -151,11 +110,38 @@ def cmd_multiport(args, stream) -> None:
 
 
 def cmd_path_w(args, stream) -> None:
-    _print_path_w(run_path_w(args.n, args.input_port), args.format, stream)
+    report = run_path_w(args.n, args.input_port)
+    if args.format == "json":
+        stream.write(report.to_json())
+    elif args.format == "csv":
+        stream.write("port,probability\n")
+        for port, prob in enumerate(report.port_probabilities):
+            stream.write(f"{port},{fmt12(prob)}\n")
+    else:
+        stream.write(f"path-W scheme, n={report.n}, input through DFT multiport\n")
+        for port, prob in enumerate(report.port_probabilities):
+            stream.write(f"  port {port}: probability {fmt12(prob)}{rational_note(prob)}\n")
+        stream.write(f"  success probability: {fmt12(report.success_probability)}\n")  # always 1
+        stream.write(f"  fidelity to uniform-phase W: {fmt12(report.fidelity_to_target)}\n")
+        stream.write(f"  probability distribution uniform: {report.probability_uniform}\n")
 
 
 def cmd_polar_w(args, stream) -> None:
-    _print_polar_w(run_polarization_w(args.n), args.format, stream)
+    report = run_polarization_w(args.n)
+    rows = [("successProbability", report.success_probability),
+            ("fidelityToTarget", report.fidelity_to_target),
+            ("keptTerms", float(report.post_selection.kept_terms)),
+            ("droppedProbability", report.post_selection.dropped_probability)]
+    if args.format == "json":
+        stream.write(report.to_json())
+    elif args.format == "csv":
+        stream.write("metric,value\n")
+        for name, value in rows:
+            stream.write(f"{name},{fmt12(value)}\n")
+    else:
+        stream.write(f"polarization-W scheme, n={report.n} ({report.reference_note})\n")
+        for name, value in rows:
+            stream.write(f"  {name}: {fmt12(value)}{rational_note(value)}\n")
 
 
 def cmd_design(args, stream) -> None:

@@ -91,7 +91,7 @@ def transition_amplitude(u: np.ndarray, input_state: FockState,
     # Before any index list: 25 photons are over the cap alone, and min() keeps 2^k small.
     k = max(sum(input_state.h), sum(input_state.v))
     if permanent_work(min(k, 25)) > WORK_CAP:
-        raise CapacityError(f"a {k}x{k} permanent is over the {WORK_CAP} multiply-add work cap")
+        raise CapacityError(f"{_count_text(k)} photons: a permanent over the {WORK_CAP} work cap")
     ports = np.arange(input_state.n_ports)
 
     def sector(occ_in: tuple[int, ...], occ_out: tuple[int, ...]) -> complex:
@@ -103,6 +103,27 @@ def transition_amplitude(u: np.ndarray, input_state: FockState,
     return sector(input_state.h, output_state.h) * sector(input_state.v, output_state.v)
 
 
+def _count_text(count: int) -> str:
+    """``count`` in digits, or by its bit length past 1,000 bits: str() refuses 4,301 digits."""
+    return str(count) if count.bit_length() <= 1000 else f"over 2**{count.bit_length() - 1}"
+
+
+def require_capacity(state: FockState) -> None:
+    """CapacityError past ``PATTERN_CAP`` terms or ``WORK_CAP`` work, from the state alone."""
+    n, k_h, k_v = state.n_ports, sum(state.h), sum(state.v)
+    photons = f"{_count_text(k_h)} H and {_count_text(k_v)} V photons over {n} ports"
+    # C(n+k-1, k) > 2**min(k, n-1): 2**1001 stands in past 1000 (math.comb: 40 s at n = k = 1e6).
+    p_h, p_v = (math.comb(n + k - 1, k) if min(k, n - 1) <= 1000 else 2**1001 for k in (k_h, k_v))
+    if p_h * p_v > PATTERN_CAP:
+        raise CapacityError(f"{photons} give {_count_text(p_h * p_v)} output terms, "
+                            f"over the {PATTERN_CAP} output-term cap")
+    # 25 photons in one pattern are over the cap alone; min() keeps 2^k small past that.
+    work = p_h * permanent_work(min(k_h, 25)) + p_v * permanent_work(min(k_v, 25))
+    if work > WORK_CAP:
+        raise CapacityError(f"{photons} need at least {_count_text(work)} multiply-adds, "
+                            f"over the {WORK_CAP} work cap")
+
+
 def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
     """Full output superposition of ``input_state`` through the coupler ``u``.
 
@@ -111,22 +132,11 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
     major. Over ``PATTERN_CAP`` terms or ``WORK_CAP`` multiply-adds: CapacityError.
     """
     u = _require_compatible(u, input_state)
-    n, k_h, k_v = input_state.n_ports, sum(input_state.h), sum(input_state.v)
-    p_h, p_v = math.comb(n + k_h - 1, k_h), math.comb(n + k_v - 1, k_v)
-    if p_h * p_v > PATTERN_CAP:
-        raise CapacityError(
-            f"{k_h} H and {k_v} V photons over {n} ports give {p_h * p_v} output terms, "
-            f"over the {PATTERN_CAP} output-term cap"
-        )
-    # 25 photons in one pattern are over the cap alone; min() keeps 2^k small past that.
-    work = p_h * permanent_work(min(k_h, 25)) + p_v * permanent_work(min(k_v, 25))
-    if work > WORK_CAP:
-        raise CapacityError(f"{k_h} H and {k_v} V photons over {n} ports need at least {work} "
-                            f"multiply-adds, over the {WORK_CAP} work cap")
+    require_capacity(input_state)
     # After the caps: they are integer arithmetic, this is an n x n matmul.
     if not verify_unitary(u):
         raise NumericalError(f"matrix not unitary within {UNITARITY_TOL}")
-    return SuperposedState(Product(_sector(u, input_state.h), _sector(u, input_state.v)), n)
+    return SuperposedState(Product(_sector(u, input_state.h), _sector(u, input_state.v)), len(u))
 
 
 def oracle_evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:

@@ -190,11 +190,10 @@ class Product:
     int rows, whose dtype the terms keep, and one complex amplitude per
     row. A term puts one row of each factor side by side, first factor
     major, so the factors' columns add up to the ``h`` then ``v`` columns
-    of a state, and multiplies their amplitudes bit for bit as Python
-    multiplies complex numbers. The caller keeps each factor's rows
-    distinct and ascending, so the terms are too, and gives every term the
-    same photon count per polarization; neither is checked. The length is
-    the number of terms.
+    of a state, and multiplies their amplitudes by :func:`linalg.outer`.
+    The caller keeps each factor's rows distinct and ascending, so the
+    terms are too, and gives every term the same photon count per
+    polarization; neither is checked. The length is the number of terms.
     """
 
     __slots__ = ("factors",)
@@ -207,20 +206,11 @@ class Product:
         return math.prod(len(amps) for _, amps in self.factors)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The occupation table and the amplitude vector of the terms.
-
-        Each product is written in its real form, ``a.real*b.real -
-        a.imag*b.imag`` and ``a.real*b.imag + a.imag*b.real``: numpy's
-        complex ``*`` gives other bits than Python's.
-        """
+        """The occupation table and the amplitude vector of the terms."""
         (occ, amps), *rest = self.factors
         occ, amps = np.asarray(occ), np.asarray(amps, dtype=complex)
         for table, b in rest:
-            table, b = np.asarray(table), np.asarray(b, dtype=complex)
-            ar, ai, br, bi = amps.real[:, None], amps.imag[:, None], b.real, b.imag
-            prod = np.empty((len(amps), len(b)), dtype=complex)
-            np.subtract(ar * br, ai * bi, out=prod.real)
-            np.add(ar * bi, ai * br, out=prod.imag)
+            table, prod = np.asarray(table), linalg.outer(amps, b)
             width = occ.shape[1]
             rows = np.empty((len(occ), len(table), width + table.shape[1]),
                             dtype=np.result_type(occ, table))

@@ -1,6 +1,7 @@
 """Complex matrix utilities for multiport couplers.
 
-Provides the symmetric DFT multiport constructor, unitarity checking,
+Provides the symmetric DFT multiport constructor, the complex outer
+product with the bits of Python's complex ``*``, unitarity checking,
 matrix permanents (Gray-code Ryser plus a naive reference), completion of
 a unitary from a prescribed first column, and the matrix JSON file format.
 
@@ -50,6 +51,19 @@ def canonical_quarter() -> np.ndarray:
     """
     h = np.array([[1, 1], [1, -1]])
     return (np.kron(h, h) / 2).astype(complex)
+
+
+def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix ``a[i] * b[j]`` of complex vectors, in the real form of Python's complex ``*``.
+
+    Numpy's complex ``*`` gives other bits, which change with its CPU dispatch level.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    ar, ai, br, bi = a.real[:, None], a.imag[:, None], b.real, b.imag
+    prod = np.empty((a.size, b.size), dtype=complex)
+    np.subtract(ar * br, ai * bi, out=prod.real)
+    np.add(ar * bi, ai * br, out=prod.imag)
+    return prod
 
 
 def square(m: np.ndarray) -> np.ndarray:
@@ -162,8 +176,8 @@ def complete_unitary_from_column(target: np.ndarray) -> np.ndarray:
         return u
     v = 0j - c  # not -c: zero parts of c give +0.0, as in phase*e0 - c
     v[0] = phase * (off_sq / (1.0 + abs(c[0])))
-    u -= 2.0 * np.outer(v, v.conj()) / float(np.vdot(v, v).real)
-    u[:, 0] *= phase
+    u -= 2.0 * outer(v, v.conj()) / float(np.vdot(v, v).real)
+    u[:, :1] = outer(u[:, 0], [phase])
     return u
 
 

@@ -18,22 +18,20 @@ from .fock import (
     FockState,
     Polarization,
     SuperposedState,
-    product_input,
     single_photon_state,
     target_from_coefficients,
     w_state_path,
     w_state_polarization,
 )
-from .evolve import evolve
+from .evolve import evolve, require_capacity
 from .postselect import CoincidencePattern, PostSelectionResult, fidelity, postselect
 
 PUBLISHED_PROBABILITIES = {3: "1/9", 4: "1/16"}
 
 
-def _single_photon_output(u: np.ndarray, port: int) -> tuple[SuperposedState, list[complex]]:
-    """Output of one H photon entering ``port`` of ``u``, and its amplitude at each port."""
-    n = u.shape[0]
-    out = evolve(u, single_photon_state(port, Polarization.H, n))
+def _single_photon_output(u: np.ndarray, state: FockState) -> tuple[SuperposedState, list[complex]]:
+    """Output of the one-H-photon ``state`` through ``u``, and its amplitude at each port."""
+    n, out = state.n_ports, evolve(u, state)
     amps = [0.0 + 0.0j] * n
     # Each term holds the photon at one port, the one nonzero H column of its row.
     for p, amp in zip(np.nonzero(out.occupations[:, :n])[1].tolist(), out.amplitudes.tolist()):
@@ -92,8 +90,9 @@ def run_path_w(n: int, input_port: int = 0) -> SchemeReport:
     phases, so |amp|^2 is uniform while the raw fidelity is not 1.
     """
     n = size(n, "port count", 2)
+    state = single_photon_state(input_port, Polarization.H, n)  # checks input_port before DFT_n
     u = linalg.dft_multiport(n)
-    out, amps = _single_photon_output(u, input_port)
+    out, amps = _single_photon_output(u, state)
     probs = tuple(abs(amp) ** 2 for amp in amps)
     uniform = all(abs(p - 1.0 / n) <= 1e-12 for p in probs)
     return SchemeReport(
@@ -112,8 +111,7 @@ def run_path_w(n: int, input_port: int = 0) -> SchemeReport:
 def scheme2_input(n: int) -> FockState:
     """The polarization-scheme input: H photons at ports 0..n-2, a V photon at port n-1."""
     n = size(n, "port count", 1)
-    photons = [(p, Polarization.H) for p in range(n - 1)] + [(n - 1, Polarization.V)]
-    return product_input(photons, n)
+    return FockState(n, (1,) * (n - 1) + (0,), (0,) * (n - 1) + (1,))
 
 
 def polarization_scheme_coupler(n: int) -> np.ndarray:
@@ -135,8 +133,9 @@ def run_polarization_w(n: int) -> SchemeReport:
     numbers are computed with no published reference.
     """
     n = size(n, "port count", 2)
+    require_capacity(state := scheme2_input(n))  # before the coupler's n^2 entries exist
     u = polarization_scheme_coupler(n)
-    out = evolve(u, scheme2_input(n))
+    out = evolve(u, state)
     result = postselect(out, CoincidencePattern.one_per_port())
     fid = fidelity(result.conditional, w_state_polarization(n))
     if n in PUBLISHED_PROBABILITIES:
@@ -164,7 +163,7 @@ def run_designed_path(target: np.ndarray) -> SchemeReport:
     c = linalg.check_normalized_column(target)
     n = c.size
     u = linalg.complete_unitary_from_column(c)
-    out, amps = _single_photon_output(u, 0)
+    out, amps = _single_photon_output(u, single_photon_state(0, Polarization.H, n))
     target_state = target_from_coefficients(c[::-1], "path")
     for p, amp in enumerate(amps):
         if abs(amp - c[p]) > linalg.UNITARITY_TOL:

@@ -287,6 +287,16 @@ class TestEvolve:
         assert code == 2
         assert "cannot read input state" in capsys.readouterr().err
 
+    def test_4001_digit_count_exits_3(self, tritter_path, tmp_path, capsys):
+        # C(10^4000 + 2, 2) output terms: 8,000 digits, more than str() writes.
+        input_path = tmp_path / "input.json"
+        input_path.write_text(
+            f'{{"nPorts": 3, "occ": [{{"port": 0, "pol": "H", "count": 1{"0" * 4000}}}]}}')
+        code, text = run_cli("evolve", "--matrix", tritter_path, "--input", str(input_path))
+        assert code == 3
+        assert text == ""
+        assert "capacity exceeded: over 2**13287 H and 0 V photons" in capsys.readouterr().err
+
     def test_boolean_count_exits_2(self, tritter_path, tmp_path, capsys):
         input_path = tmp_path / "input.json"
         input_path.write_text(json.dumps(

@@ -337,7 +337,8 @@ class TestEvolve:
         with pytest.raises(CapacityError, match="6190165800 multiply-adds"):
             evolve(dft_multiport(9), product_input([(0, H)] * 12, 9))
 
-    @pytest.mark.parametrize("k_h, k_v", [(25, 0), (0, 25), (10**18, 0)])
+    @pytest.mark.parametrize("k_h, k_v", [(25, 0), (0, 25), (10**18, 0),
+                                          pytest.param(10**5000, 0, id="10**5000-0")])
     def test_transition_amplitude_work_cap_fails_before_any_work(self, monkeypatch, k_h, k_v):
         # A 25x25 permanent is over the cap; the matrix must not be built to find out.
         def no_permanent(m):

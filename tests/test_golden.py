@@ -5,11 +5,15 @@ its sha256 must equal the one recorded in ``golden/reports.sha256.json``.
 A deliberate change of report bytes regenerates that file with::
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/reports.sha256.json
+
+The same hashes must come out at every CPU dispatch level numpy offers.
 """
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -180,6 +184,30 @@ def test_golden_file_lists_every_case():
 def test_report_bytes_unchanged(name):
     expected = json.loads(GOLDEN.read_text())[name]
     assert _sha256(CASES[name]()) == expected
+
+
+def _dispatch_suffixes() -> list[str]:
+    """Each suffix of numpy's dispatch targets, lowest first.
+
+    Numpy refuses to disable a baseline feature, and the dispatch list holds
+    none, so disabling a suffix runs numpy's loops at the level below it.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return [" ".join(__cpu_dispatch__[i:]) for i in range(len(__cpu_dispatch__))]
+
+
+@pytest.mark.parametrize("disabled", _dispatch_suffixes())
+def test_report_bytes_at_every_dispatch_level(disabled):
+    """Every golden hash, computed in a process with numpy's ``disabled`` targets switched off."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == json.loads(GOLDEN.read_text())
 
 
 if __name__ == "__main__":

@@ -291,6 +291,13 @@ class TestPermanent:
         assert linalg.permanent_work(24) == linalg.WORK_CAP < linalg.permanent_work(25)
 
 
+def test_outer_has_the_bits_of_python_complex_multiply():
+    rng = np.random.default_rng(7)
+    a, b = _planted_matrix(rng, 6).ravel(), _planted_matrix(rng, 5).ravel()
+    expected = np.array([[x * y for y in b.tolist()] for x in a.tolist()])
+    assert np.array_equal(_part_bits(linalg.outer(a, b)), _part_bits(expected))
+
+
 class TestCompleteUnitary:
     def test_identity_target(self):
         u = linalg.complete_unitary_from_column(np.array([1.0, 0.0, 0.0]))

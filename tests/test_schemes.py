@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wstategen import linalg
-from wstategen.errors import NumericalError
+from wstategen import linalg, schemes
+from wstategen.errors import CapacityError, NumericalError
 from wstategen.fock import Polarization
 from wstategen.schemes import (
     polarization_scheme_coupler,
@@ -47,6 +47,23 @@ class TestRunPathW:
     def test_input_port_checked_by_the_state(self):
         with pytest.raises(ValueError, match=r"^port 5 out of range for 3 ports$"):
             run_path_w(3, 5)
+
+
+@pytest.mark.parametrize("run, error, match", [
+    (lambda: run_polarization_w(11), CapacityError, "2032316 output terms"),
+    # 2**1001 stands in for C(39998, 19999), times 20,000 V patterns.
+    (lambda: run_polarization_w(20000), CapacityError, r"give over 2\*\*1015 output terms"),
+    (lambda: run_path_w(3, 5), ValueError, r"^port 5 out of range for 3 ports$"),
+], ids=["polar-w-11", "polar-w-20000", "path-w-port"])
+def test_inputs_checked_before_any_coupler(monkeypatch, run, error, match):
+    def no_coupler(*args):
+        raise AssertionError("coupler built before the input checks")
+
+    for module, name in ((linalg, "dft_multiport"), (linalg, "canonical_quarter"),
+                         (schemes, "polarization_scheme_coupler")):
+        monkeypatch.setattr(module, name, no_coupler)
+    with pytest.raises(error, match=match):
+        run()
 
 
 class TestRunPolarizationW:
