@@ -158,6 +158,9 @@ def _cases() -> dict:
     # and the matrix file write many equal parts.
     cases["path-w-n64-port21"] = lambda: run_path_w(64, 21).to_json()
     cases["cli-multiport-n64-file"] = lambda: _cli_file_text(["multiport", "--n", "64"])
+    # DFT_43 from port 1: glibc 2.36's pow(x, 2) rounds 3 of its 43 port
+    # probabilities away from the exact square.
+    cases["path-w-n43-port1"] = lambda: run_path_w(43, 1).to_json()
     for fmt in ("csv", "table"):
         cases[f"cli-evolve-dft4-bunched-{fmt}"] = lambda f=fmt: _evolve_text(
             f, 4, EVOLVE_DFT4_INPUT)
