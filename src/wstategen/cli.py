@@ -26,9 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from . import jsontext, linalg
-from .errors import CapacityError, NumericalError, json_fields, size
+from .errors import CapacityError, NumericalError, int_text, json_fields, size
 from .evolve import evolve as evolve_state
-from .fock import FockState, SuperposedState
+from .fock import FockState, SuperposedState, probabilities
 from .postselect import CoincidencePattern, postselect
 from .schemes import run_path_w, run_polarization_w
 
@@ -83,7 +83,7 @@ def rational_notes(values: Sequence[float]) -> list[str]:
 def _print_superposed(state: SuperposedState, fmt: str, stream, heading: str) -> None:
     kets = state.kets()
     amps = state.amplitudes.tolist()
-    probs = [abs(amp) ** 2 for amp in amps]
+    probs = list(probabilities(amps))
     if fmt == "csv":
         lines = ["state,re,im,probability\n"]
         lines += [f"{ket},{amp.real:.12g},{amp.imag:.12g},{prob:.12g}\n"
@@ -166,7 +166,7 @@ def cmd_evolve(args, stream) -> None:
         # Before from_counts, which allocates per port: a short file can ask for billions.
         n_ports = size(json_fields(raw, "Fock state JSON", nPorts=object)[0], "n_ports", 1)
         if n_ports != len(u):
-            raise ValueError(f"matrix is {len(u)}x{len(u)} but state has {n_ports} ports")
+            raise ValueError(f"matrix is {len(u)}x{len(u)} but state has {int_text(n_ports)} ports")
         return FockState.from_json_obj(raw)
 
     input_state = _load_json(args.input, "input state", read_state)

@@ -2,8 +2,8 @@
 
 Invalid arguments raise the stdlib ``ValueError``; only failure modes that
 callers need to tell apart get their own class. A port, count or size is
-checked by :func:`integer` or :func:`size` at the public call that takes it,
-and a JSON object's keys are read by :func:`json_fields`.
+checked by :func:`integer` or :func:`size` at the public call that takes it
+and written by :func:`int_text`; a JSON object is read by :func:`json_fields`.
 """
 import operator
 
@@ -35,11 +35,18 @@ def _index(value) -> int | None:
         return None
 
 
+def int_text(value) -> str:
+    """``repr(value)``, or an integer past 1,000 bits by bit length: str() stops at 4,300 digits."""
+    if (i := _index(value)) is None or i.bit_length() <= 1000:
+        return repr(value)
+    return f"{'below -' if i < 0 else 'over '}2**{i.bit_length() - 1}"
+
+
 def integer(value, what: str) -> int:
     """``value`` as an ``int``; numpy integers pass, and a float, string, bool or None raises."""
     i = _index(value)
     if i is None:
-        raise ValueError(f"{what} must be integers, got {value!r}")
+        raise ValueError(f"{what} must be integers, got {int_text(value)}")
     return i
 
 
@@ -47,7 +54,7 @@ def size(value, what: str, minimum: int) -> int:
     """``value`` as an ``int`` of at least ``minimum``, by the rule of :func:`integer`."""
     i = _index(value)
     if i is None or i < minimum:
-        raise ValueError(f"{what} must be an integer of at least {minimum}, got {value!r}")
+        raise ValueError(f"{what} must be an integer of at least {minimum}, got {int_text(value)}")
     return i
 
 

@@ -19,7 +19,7 @@ from itertools import chain, combinations_with_replacement, product as iproduct
 
 import numpy as np
 
-from .errors import CapacityError, NumericalError
+from .errors import CapacityError, NumericalError, int_text
 from .fock import FockState, Product, SuperposedState
 from .linalg import UNITARITY_TOL, WORK_CAP, permanent, permanent_work, square, verify_unitary
 
@@ -77,7 +77,7 @@ def _require_compatible(u: np.ndarray, *states: FockState) -> np.ndarray:
     for state in states:
         if u.shape[0] != state.n_ports:
             raise ValueError(
-                f"matrix is {u.shape[0]}x{u.shape[0]} but state has {state.n_ports} ports"
+                f"matrix is {u.shape[0]}x{u.shape[0]} but state has {int_text(state.n_ports)} ports"
             )
     return u
 
@@ -91,7 +91,7 @@ def transition_amplitude(u: np.ndarray, input_state: FockState,
     # Before any index list: 25 photons are over the cap alone, and min() keeps 2^k small.
     k = max(sum(input_state.h), sum(input_state.v))
     if permanent_work(min(k, 25)) > WORK_CAP:
-        raise CapacityError(f"{_count_text(k)} photons: a permanent over the {WORK_CAP} work cap")
+        raise CapacityError(f"{int_text(k)} photons: a permanent over the {WORK_CAP} work cap")
     ports = np.arange(input_state.n_ports)
 
     def sector(occ_in: tuple[int, ...], occ_out: tuple[int, ...]) -> complex:
@@ -103,24 +103,20 @@ def transition_amplitude(u: np.ndarray, input_state: FockState,
     return sector(input_state.h, output_state.h) * sector(input_state.v, output_state.v)
 
 
-def _count_text(count: int) -> str:
-    """``count`` in digits, or by its bit length past 1,000 bits: str() refuses 4,301 digits."""
-    return str(count) if count.bit_length() <= 1000 else f"over 2**{count.bit_length() - 1}"
-
-
 def require_capacity(state: FockState) -> None:
     """CapacityError past ``PATTERN_CAP`` terms or ``WORK_CAP`` work, from the state alone."""
     n, k_h, k_v = state.n_ports, sum(state.h), sum(state.v)
-    photons = f"{_count_text(k_h)} H and {_count_text(k_v)} V photons over {n} ports"
-    # C(n+k-1, k) > 2**min(k, n-1): 2**1001 stands in past 1000 (math.comb: 40 s at n = k = 1e6).
-    p_h, p_v = (math.comb(n + k - 1, k) if min(k, n - 1) <= 1000 else 2**1001 for k in (k_h, k_v))
+    photons = f"{int_text(k_h)} H and {int_text(k_v)} V photons over {n} ports"
+    # C(n+k-1, k) >= ((n+k-1) // j)**j, j = min(k, n-1): 2**1001 stands in once that passes 2**1000.
+    p_h, p_v = (2**1001 if (j := min(k, n - 1)) * ((n + k - 1) // max(j, 1)).bit_length() - j > 1000
+                else math.comb(n + k - 1, k) for k in (k_h, k_v))
     if p_h * p_v > PATTERN_CAP:
-        raise CapacityError(f"{photons} give {_count_text(p_h * p_v)} output terms, "
+        raise CapacityError(f"{photons} give {int_text(p_h * p_v)} output terms, "
                             f"over the {PATTERN_CAP} output-term cap")
     # 25 photons in one pattern are over the cap alone; min() keeps 2^k small past that.
     work = p_h * permanent_work(min(k_h, 25)) + p_v * permanent_work(min(k_v, 25))
     if work > WORK_CAP:
-        raise CapacityError(f"{photons} need at least {_count_text(work)} multiply-adds, "
+        raise CapacityError(f"{photons} need at least {int_text(work)} multiply-adds, "
                             f"over the {WORK_CAP} work cap")
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import jsontext, linalg
-from .errors import NumericalError, integer, json_fields, size
+from .errors import NumericalError, int_text, integer, json_fields, size
 
 # Amplitudes below this are dropped on construction so destructive
 # interference leaves canonical term maps.
@@ -69,10 +69,10 @@ class FockState(NamedTuple):
         for mode, count in items:
             mode = Mode(integer(mode[0], "ports"), Polarization(mode[1]))
             count = integer(count, "counts")
-            if count < 0:
-                raise ValueError(f"negative photon count {count} for mode {mode}")
             if not 0 <= mode.port < n_ports:
-                raise ValueError(f"port {mode.port} out of range for {n_ports} ports")
+                raise ValueError(f"port {int_text(mode.port)} out of range for {n_ports} ports")
+            if count < 0:  # the port is in range, so the mode is short to write
+                raise ValueError(f"negative photon count {int_text(count)} for mode {mode}")
             vecs[mode.pol][mode.port] += count
         return cls(n_ports, tuple(vecs[Polarization.H]), tuple(vecs[Polarization.V]))
 
@@ -118,6 +118,11 @@ class FockState(NamedTuple):
         pieces = [_ket_piece(port, ch, cv, True)
                   for port, (ch, cv) in enumerate(zip(self.h, self.v)) if ch or cv]
         return f"|{' '.join(pieces)}>" if pieces else f"|vac;{self.n_ports}>"
+
+
+def probabilities(amplitudes: Iterable[complex]) -> Iterator[float]:
+    """Each |a|^2 as ``m * m``, ``m = abs(a)``: correctly rounded, unlike libm's ``pow(m, 2)``."""
+    return (m * m for m in map(abs, amplitudes))
 
 
 def _ket_piece(port: int, ch: int, cv: int, first: bool) -> str:
@@ -321,7 +326,7 @@ class SuperposedState:
         return kets
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in _listed(self.amplitudes))
+        return sum(probabilities(_listed(self.amplitudes)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SuperposedState):

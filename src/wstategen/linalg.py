@@ -74,13 +74,10 @@ def square(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def verify_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    """True iff the max-norm of (M†M - I) is at most ``tol``."""
+def verify_unitary(m: np.ndarray) -> bool:
+    """True iff the max-norm of (M†M - I) is at most ``UNITARITY_TOL``."""
     m = square(m)
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    n = m.shape[0]
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(n))) <= tol)
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) <= UNITARITY_TOL)
 
 
 def permanent_work(k: int) -> int:

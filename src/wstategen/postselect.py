@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsontext
-from .errors import NumericalError, integer
+from . import fock, jsontext
+from .errors import NumericalError, int_text, integer
 from .fock import NORMALIZATION_TOL, FockState, Product, SuperposedState, fock_states, row_keys
 
 # Below this a kept weight is treated as exact destructive interference,
@@ -42,9 +42,10 @@ class CoincidencePattern:
                                 for p, c in counts.items()))
         for port, count in required:
             if port < 0:
-                raise ValueError(f"port {port} is negative")
+                raise ValueError(f"port {int_text(port)} is negative")
             if count < 0:
-                raise ValueError(f"required count {count} for port {port} is negative")
+                raise ValueError(f"required count {int_text(count)} for port {int_text(port)}"
+                                 " is negative")
         return cls(required=required)
 
     def mask(self, state: SuperposedState) -> np.ndarray:
@@ -52,7 +53,7 @@ class CoincidencePattern:
         n = state.n_ports
         for port, _ in self.required or ():
             if port >= n:
-                raise ValueError(f"pattern references port {port}, device has {n}")
+                raise ValueError(f"pattern references port {int_text(port)}, device has {n}")
         occ = state.occupations
         spatial = occ[:, :n] + occ[:, n:]
         if self.required is None:
@@ -90,8 +91,8 @@ def postselect(state: SuperposedState, pattern: CoincidencePattern) -> PostSelec
     mask = pattern.mask(state)
     kept = state.amplitudes[mask].tolist()
     probability = 0.0
-    for a in kept:  # left to right on every Python; sum() compensates floats from 3.12 on
-        probability += abs(a) ** 2
+    for p in fock.probabilities(kept):  # left to right on every Python; sum() compensates from 3.12
+        probability += p
     if probability < ZERO_PROBABILITY_TOL:
         conditional = SuperposedState({}, state.n_ports, require_normalized=False)
         return PostSelectionResult(conditional, 0.0, 0, 1.0)
@@ -130,7 +131,7 @@ def fidelity(state: SuperposedState, target: SuperposedState) -> float:
     overlap = 0j
     for i, j in rows:  # left to right, as for the probability in `postselect`
         overlap += target_amps[j].conjugate() * amps[i]
-    value = abs(overlap) ** 2
+    (value,) = fock.probabilities([overlap])
     if value > 1.0 + NORMALIZATION_TOL:
         raise NumericalError(f"fidelity {value!r} exceeds 1: a state is not normalized")
     return min(value, 1.0)

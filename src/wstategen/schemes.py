@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import jsontext, linalg
+from . import fock, jsontext, linalg
 from .errors import NumericalError, size
 from .fock import (
     FockState,
@@ -93,7 +93,7 @@ def run_path_w(n: int, input_port: int = 0) -> SchemeReport:
     state = single_photon_state(input_port, Polarization.H, n)  # checks input_port before DFT_n
     u = linalg.dft_multiport(n)
     out, amps = _single_photon_output(u, state)
-    probs = tuple(abs(amp) ** 2 for amp in amps)
+    probs = tuple(fock.probabilities(amps))
     uniform = all(abs(p - 1.0 / n) <= 1e-12 for p in probs)
     return SchemeReport(
         scheme_kind="path-W",
@@ -178,5 +178,5 @@ def run_designed_path(target: np.ndarray) -> SchemeReport:
         post_selection=None,
         fidelity_to_target=fidelity(out, target_state),
         success_probability=1.0,
-        port_probabilities=tuple(float(abs(x) ** 2) for x in c),
+        port_probabilities=tuple(fock.probabilities(c.tolist())),
     )

@@ -145,7 +145,7 @@ def test_criterion_8_designer_round_trip():
         targets.append(v)
     for target in targets:
         u = w.complete_unitary_from_column(target)
-        assert w.verify_unitary(u, 1e-10)
+        assert w.verify_unitary(u)
         assert np.max(np.abs(u[:, 0] - target)) <= 1e-10
         rep = w.run_designed_path(target)
         for p in range(len(target)):

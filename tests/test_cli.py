@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +161,7 @@ class TestDesign:
         assert code == 2
 
     def test_failed_verification_exits_3(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(linalg, "verify_unitary", lambda m, tol=1e-10: False)
+        monkeypatch.setattr(linalg, "verify_unitary", lambda m: False)
         target_path = tmp_path / "target.json"
         target_path.write_text(json.dumps([[0.6, 0.0], [0.8, 0.0]]))
         out = tmp_path / "u.json"
@@ -239,7 +240,7 @@ class TestEvolve:
     def test_unnormalized_output_exits_3(self, tmp_path, scheme2_path, monkeypatch, capsys):
         # With the unitarity checks bypassed, the state assembled from
         # np.ones((3, 3)) fails its normalization check instead.
-        always = lambda m, tol=1e-10: True  # noqa: E731
+        always = lambda m: True  # noqa: E731
         monkeypatch.setattr(linalg, "verify_unitary", always)
         # The package re-exports the function evolve, which shadows the module name.
         evolve_module = importlib.import_module("wstategen.evolve")
@@ -333,7 +334,7 @@ def _steps(x: np.ndarray, count: int) -> np.ndarray:
 def _dft_probabilities(n: int) -> list[float]:
     """Term probabilities of DFT_n on a one-per-port and on a bunched input."""
     inputs = [[(p, H) for p in range(n - 1)] + [(n - 1, V)], [(0, H), (0, H), (n - 1, V)]]
-    return [abs(amp) ** 2 for photons in inputs
+    return [float(Fraction(abs(amp)) ** 2) for photons in inputs
             for _, amp in evolve(linalg.dft_multiport(n), product_input(photons, n))]
 
 

@@ -14,6 +14,7 @@ from wstategen.evolve import (
     evolve,
     lift_to_modes,
     oracle_evolve,
+    require_capacity,
     transition_amplitude,
 )
 from wstategen.fock import (
@@ -123,7 +124,7 @@ class TestLiftToModes:
     def test_lifted_unitary(self):
         rng = np.random.default_rng(3)
         for n in (2, 3, 5):
-            assert verify_unitary(lift_to_modes(random_unitary(n, rng)), 1e-10)
+            assert verify_unitary(lift_to_modes(random_unitary(n, rng)))
 
 
 class TestTransitionAmplitude:
@@ -349,6 +350,21 @@ class TestEvolve:
         with pytest.raises(CapacityError, match="work cap"):
             transition_amplitude(np.eye(1), state, state)
 
+    def test_no_huge_comb_before_the_refusal(self, monkeypatch):
+        # A 4,300-digit H count at one port of 1,001: math.comb of it took 8.2 s.
+        comb = math.comb
+
+        def small_comb(n, k):
+            if n > 2**64:
+                raise AssertionError(f"math.comb of a {n.bit_length()}-bit number")
+            return comb(n, k)
+
+        monkeypatch.setattr(math, "comb", small_comb)
+        state = FockState(1001, (10**4299,) + (0,) * 1000, (0,) * 1001)
+        with pytest.raises(CapacityError, match=r"^over 2\*\*14280 H and 0 V photons over 1001 "
+                                                r"ports give over 2\*\*1001 output terms"):
+            require_capacity(state)
+
     def test_huge_count_on_one_port_is_capped(self):
         # One pattern, but 2^k for k = 10^18 would exhaust memory before the check.
         state = FockState(1, (10**18,), (0,))
@@ -408,3 +424,51 @@ class TestOracleEvolve:
         u = random_unitary(2, rng)
         for state in all_fock_states(2, 3):
             assert evolve(u, state).allclose(oracle_evolve(u, state), tol=1e-9)
+
+
+def _permuted(state: FockState, perm: np.ndarray) -> FockState:
+    """``state`` with the photons of port i moved to port perm[i]."""
+    h, v = np.empty(state.n_ports, dtype=int), np.empty(state.n_ports, dtype=int)
+    h[perm], v[perm] = state.h, state.v
+    return FockState(state.n_ports, tuple(h.tolist()), tuple(v.tolist()))
+
+
+class TestInvariants:
+    """Laws of linear optics that hold past the oracle's 4 photons and 4 ports."""
+
+    @pytest.mark.parametrize("n, terms", [(3, 4), (4, 10), (5, 26), (6, 68)])
+    def test_dft_suppression_law(self, n, terms):
+        # One photon per port through DFT_n: every output has sum(p * h_p) = 0 (mod n).
+        out = evolve(dft_multiport(n), FockState(n, (1,) * n, (0,) * n))
+        assert len(out) == terms
+        assert not np.any(out.occupations[:, :n].astype(int) @ np.arange(n) % n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_port_permutation_covariance(self, n):
+        # evolve(P U Q, Q^-1 s) = P evolve(U, s) for port permutations P and Q.
+        rng = np.random.default_rng(900 + n)
+        u = random_unitary(n, rng)
+        p_perm, q_perm = rng.permutation(n), rng.permutation(n)
+        p, q = np.zeros((n, n)), np.zeros((n, n))
+        p[p_perm, np.arange(n)] = q[q_perm, np.arange(n)] = 1
+        inputs = [product_input([(0, H), (0, H), (n - 1, H)], n),
+                  product_input([(int(rng.integers(n)), H if rng.random() < 0.5 else V)
+                                 for _ in range(5)], n)]
+        for state in inputs:
+            expected = SuperposedState({_permuted(s, p_perm): a for s, a in evolve(u, state)}, n)
+            moved = _permuted(state, np.argsort(q_perm))
+            assert evolve(p @ u @ q, moved).allclose(expected, tol=1e-12), state
+
+    def test_outputs_of_distinct_inputs_are_orthogonal(self):
+        # Every input of 2 H and 1 V photons over 6 ports, bunched ones included.
+        n = 6
+        u = random_unitary(n, np.random.default_rng(66))
+        inputs = [product_input([(a, H), (b, H), (c, V)], n)
+                  for a, b in combinations_with_replacement(range(n), 2) for c in range(n)]
+        outputs = [evolve(u, s).terms for s in inputs]
+        basis = {s: i for i, s in enumerate(sorted(set().union(*outputs)))}
+        m = np.zeros((len(inputs), len(basis)), dtype=complex)
+        for row, terms in zip(m, outputs):
+            row[[basis[s] for s in terms]] = list(terms.values())
+        assert len(inputs) == 126
+        assert np.max(np.abs(m.conj() @ m.T - np.eye(len(inputs)))) <= 1e-12

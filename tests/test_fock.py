@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from wstategen.fock import (
     Polarization,
     Product,
     SuperposedState,
+    probabilities,
     product_input,
     single_photon_state,
     target_from_coefficients,
@@ -460,3 +462,15 @@ class TestTargetFromCoefficients:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             target_from_coefficients([1.0, 0.0], "spin")
+
+
+class TestProbabilities:
+    def test_correctly_rounded_squares(self):
+        # Uniform magnitudes in [1e-6, 1), where pow(x, 2) and x * x disagree about once in
+        # 1,200 under glibc 2.36, and complex amplitudes whose abs() rounds first.
+        rng = np.random.default_rng(0)
+        amps = rng.uniform(1e-6, 1, 4000).tolist()
+        amps += (rng.normal(size=4000) + 1j * rng.normal(size=4000)).tolist()
+        got = list(probabilities(amps))
+        assert all(type(p) is float for p in got)
+        assert list(map(float.hex, got)) == [float.hex(float(Fraction(abs(a)) ** 2)) for a in amps]

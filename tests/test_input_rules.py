@@ -17,7 +17,7 @@ import pytest
 
 from wstategen import linalg
 from wstategen.cli import EXIT_INVALID, main
-from wstategen.errors import json_fields
+from wstategen.errors import int_text, json_fields
 from wstategen.evolve import evolve, transition_amplitude
 from wstategen.fock import (
     FockState,
@@ -27,7 +27,7 @@ from wstategen.fock import (
     w_state_path,
     w_state_polarization,
 )
-from wstategen.postselect import CoincidencePattern
+from wstategen.postselect import CoincidencePattern, postselect
 from wstategen.schemes import (
     polarization_scheme_coupler,
     run_path_w,
@@ -305,3 +305,57 @@ def test_cli_exits_2_on_malformed_json_objects(reader, case, tmp_path, capsys):
     assert main(["evolve", "--matrix", str(matrix), "--input", str(state)], io.StringIO()) \
         == EXIT_INVALID
     assert message in capsys.readouterr().err
+
+
+# 16,610 bits: str() refuses its 5,001 digits, so a message writes its bit length.
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: linalg.dft_multiport(-HUGE),
+     "port count must be an integer of at least 2, got below -2**16609"),
+    (lambda: SuperposedState([], -HUGE), "n_ports must be an integer of at least 1, got below"),
+    (lambda: FockState.from_counts([((HUGE, H), 1)], 4),
+     "port over 2**16609 out of range for 4 ports"),
+    (lambda: FockState.from_counts([((0, H), -HUGE)], 4),
+     "negative photon count below -2**16609 for mode Mode(port=0, "),
+    (lambda: CoincidencePattern.port_counts({-HUGE: 1}), "port below -2**16609 is negative"),
+    (lambda: CoincidencePattern.port_counts({0: -HUGE}),
+     "required count below -2**16609 for port 0 is negative"),
+    (lambda: CoincidencePattern.port_counts({HUGE: -1}),
+     "required count -1 for port over 2**16609 is negative"),
+    (lambda: postselect(w_state_path(3), CoincidencePattern.port_counts({HUGE: 1})),
+     "pattern references port over 2**16609, device has 3"),
+    (lambda: evolve(np.eye(2), FockState(HUGE, (1, 0), (0, 0))),
+     "matrix is 2x2 but state has over 2**16609 ports"),
+], ids=["dft_multiport", "SuperposedState", "from_counts port", "from_counts count",
+        "port_counts port", "port_counts count", "port_counts count huge port", "mask port",
+        "evolve n_ports"])
+def test_huge_integers_written_by_bit_length(run, message):
+    with pytest.raises(ValueError) as info:
+        run()
+    assert type(info.value) is ValueError and str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("value, text", [
+    (5, "5"), (-3, "-3"), (2**1000 - 1, str(2**1000 - 1)), (2**1000, "over 2**1000"),
+    (-(2**1000), "below -2**1000"), (np.int64(7), repr(np.int64(7))), (2.5, "2.5"),
+    (True, "True"), (None, "None"), ("3", "'3'"),
+])
+def test_int_text(value, text):
+    assert int_text(value) == text
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"nPorts": 2, "occ": [{"port": 1%s, "pol": "H", "count": 1}]}',
+     "port over 2**13287 out of range for 2 ports"),
+    ('{"nPorts": 1%s, "occ": []}', "matrix is 2x2 but state has over 2**13287 ports"),
+], ids=["port", "nPorts"])
+def test_cli_state_file_with_a_4001_digit_integer(text, message, tmp_path, capsys):
+    matrix, state = tmp_path / "m.json", tmp_path / "s.json"
+    linalg.write_matrix(matrix, linalg.dft_multiport(2))
+    state.write_text(text % ("0" * 4000))
+    assert main(["evolve", "--matrix", str(matrix), "--input", str(state)], io.StringIO()) \
+        == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert message in err and len(err) < 200

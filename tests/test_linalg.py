@@ -54,6 +54,11 @@ def _part_bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def _unitarity_residual(u):
+    """max |U*U - I|, for checks tighter than ``verify_unitary``'s ``UNITARITY_TOL``."""
+    return np.max(np.abs(u.conj().T @ u - np.eye(len(u))))
+
+
 def _planted_matrix(rng, k):
     """Random complex k x k matrix with exact zeros, -0.0 parts and integers planted."""
     m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
@@ -88,7 +93,7 @@ class TestDftMultiport:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_unitary(self, n):
-        assert linalg.verify_unitary(linalg.dft_multiport(n), 1e-10)
+        assert linalg.verify_unitary(linalg.dft_multiport(n))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_symmetric(self, n):
@@ -106,7 +111,7 @@ class TestDftMultiport:
     @pytest.mark.parametrize("n", [64, 256])
     def test_unitarity_residual_is_round_off(self, n):
         u = linalg.dft_multiport(n)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-15
+        assert _unitarity_residual(u) <= 1e-15
 
     def test_dft256_has_few_distinct_parts(self):
         # 256 roots give at most 512 float parts; per-entry exps gave 30,425.
@@ -132,7 +137,7 @@ class TestDftMultiport:
 class TestCanonicalQuarter:
     def test_unitary_and_balanced(self):
         q = linalg.canonical_quarter()
-        assert linalg.verify_unitary(q, 1e-12)
+        assert _unitarity_residual(q) <= 1e-12
         assert np.allclose(np.abs(q), 0.5)
 
     def test_entries_are_exactly_half(self):
@@ -143,19 +148,21 @@ class TestCanonicalQuarter:
 
 class TestVerifyUnitary:
     def test_identity(self):
-        assert linalg.verify_unitary(np.eye(3), 1e-12)
+        assert linalg.verify_unitary(np.eye(3))
 
     def test_rank_one_rejected(self):
         m = np.ones((2, 2)) / math.sqrt(2)
-        assert not linalg.verify_unitary(m, 1e-10)
+        assert not linalg.verify_unitary(m)
 
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             linalg.verify_unitary(np.ones((2, 3)))
 
-    def test_nonpositive_tol_raises(self):
-        with pytest.raises(ValueError):
-            linalg.verify_unitary(np.eye(2), 0.0)
+    @pytest.mark.parametrize("scale, unitary", [(0.4, True), (0.6, False)])
+    def test_tolerance_is_unitarity_tol(self, scale, unitary):
+        # A diagonal entry 1 + d leaves 2d + d^2 in the residual.
+        m = np.diag([1.0 + scale * linalg.UNITARITY_TOL, 1.0])
+        assert linalg.verify_unitary(m) is unitary
 
 
 class TestPermanent:
@@ -306,7 +313,7 @@ class TestCompleteUnitary:
     def test_clone_target(self):
         target = np.array([math.sqrt(2 / 3), -math.sqrt(1 / 6), -math.sqrt(1 / 6)])
         u = linalg.complete_unitary_from_column(target)
-        assert linalg.verify_unitary(u, 1e-10)
+        assert linalg.verify_unitary(u)
         assert np.max(np.abs(u[:, 0] - target)) <= 1e-10
 
     def test_uniform_target_matches_tritter_probabilities(self):
@@ -322,7 +329,7 @@ class TestCompleteUnitary:
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
             v /= np.linalg.norm(v)
             u = linalg.complete_unitary_from_column(v)
-            assert linalg.verify_unitary(u, 1e-10)
+            assert linalg.verify_unitary(u)
             assert np.max(np.abs(u[:, 0] - v)) <= 1e-10
 
     def test_deterministic(self):
@@ -334,7 +341,7 @@ class TestCompleteUnitary:
     def test_pure_phase_target(self):
         v = np.array([cmath.exp(0.7j), 0.0, 0.0])
         u = linalg.complete_unitary_from_column(v)
-        assert linalg.verify_unitary(u, 1e-10)
+        assert linalg.verify_unitary(u)
         assert np.max(np.abs(u[:, 0] - v)) <= 1e-10
 
     def test_rejects_unnormalized(self):
@@ -359,7 +366,7 @@ class TestCompleteUnitary:
             c /= np.linalg.norm(c)
             u = linalg.complete_unitary_from_column(c)
             assert np.max(np.abs(u[:, 0] - c)) <= 1e-14, q
-            assert linalg.verify_unitary(u, 1e-12), q
+            assert _unitarity_residual(u) <= 1e-12, q
 
     @pytest.mark.parametrize("tiny", [1e-153, 1e-155, 1e-160, 1e-300])
     def test_tiny_off_axis_entry(self, tiny):
@@ -369,7 +376,7 @@ class TestCompleteUnitary:
             warnings.simplefilter("error")
             u = linalg.complete_unitary_from_column(c)
         assert np.all(np.isfinite(u))
-        assert linalg.verify_unitary(u, 1e-12)
+        assert _unitarity_residual(u) <= 1e-12
         assert np.max(np.abs(u[:, 0] - c)) <= 1e-14
 
     @pytest.mark.parametrize("phase", [1.0, cmath.exp(0.7j)], ids=["1", "e0.7i"])

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wstategen import linalg, schemes
 from wstategen.errors import CapacityError, NumericalError
-from wstategen.fock import Polarization
+from wstategen.fock import Polarization, single_photon_state
 from wstategen.schemes import (
     polarization_scheme_coupler,
     run_designed_path,
@@ -15,6 +16,11 @@ from wstategen.schemes import (
 )
 
 H, V = Polarization.H, Polarization.V
+
+
+def _square_bits(a: complex) -> str:
+    """The bits of ``abs(a)`` squared exactly and rounded once to a double."""
+    return float.hex(float(Fraction(abs(a)) ** 2))
 
 
 class TestRunPathW:
@@ -47,6 +53,14 @@ class TestRunPathW:
     def test_input_port_checked_by_the_state(self):
         with pytest.raises(ValueError, match=r"^port 5 out of range for 3 ports$"):
             run_path_w(3, 5)
+
+    @pytest.mark.parametrize("port", [1, 14, 42])
+    def test_port_probabilities_are_correctly_rounded_squares(self, port):
+        # From each of these ports, 3 of DFT_43's 43 squares differ under glibc's pow(x, 2).
+        report = run_path_w(43, port)
+        amps = [report.output_state.amplitude(single_photon_state(p, Polarization.H, 43))
+                for p in range(43)]
+        assert list(map(float.hex, report.port_probabilities)) == list(map(_square_bits, amps))
 
 
 @pytest.mark.parametrize("run, error, match", [
@@ -142,6 +156,12 @@ class TestRunDesignedPath:
         assert abs(probs[0] - 2 / 3) <= 1e-12
         assert abs(probs[1] - 1 / 6) <= 1e-12
         assert abs(probs[2] - 1 / 6) <= 1e-12
+
+    def test_port_probabilities_are_correctly_rounded_squares(self):
+        # Ports 2 and 3 square 5/sqrt(68), which glibc's pow(x, 2) rounds up one bit.
+        target = np.array([3.0, 3.0, 5.0, 5.0]) / math.sqrt(68)
+        report = run_designed_path(target)
+        assert list(map(float.hex, report.port_probabilities)) == list(map(_square_bits, target))
 
     def test_basis_target(self):
         report = run_designed_path(np.array([1.0, 0.0]))

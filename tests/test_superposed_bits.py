@@ -5,12 +5,14 @@ vector, and ``postselect`` selects rows of it with a mask. The references
 below are the dict-based assembly and post-selection that the table
 replaced: one ``FockState`` per term in a dict, amplitudes multiplied as
 Python complex numbers, pruned with ``abs`` and added to ``0.0``, then sorted.
+Each |amp|^2 is the exact square of ``abs(amp)`` rounded once, by ``Fraction``.
 Every amplitude, probability, fidelity and norm must carry the same bits.
 """
 import cmath
 import functools
 import math
 import operator
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -71,6 +73,11 @@ def _reference_evolve(u: np.ndarray, state: FockState) -> dict:
                              in product(*_reference_sectors(u, state))), n)
 
 
+def _square(a: complex) -> float:
+    """``abs(a)`` squared exactly, then rounded to the nearest double."""
+    return float(Fraction(abs(a)) ** 2)
+
+
 def _matches(state: FockState, pattern: CoincidencePattern) -> bool:
     spatial = tuple(ch + cv for ch, cv in zip(state.h, state.v))
     if pattern.required is None:
@@ -82,7 +89,7 @@ def _reference_postselect(terms: dict, n_ports: int, pattern: CoincidencePattern
     """(conditional terms, probability, kept terms, dropped probability)."""
     kept = {s: a for s, a in terms.items() if _matches(s, pattern)}
     # Left to right, as the 3.10/3.11 builtin sum() added them; from 3.12 on sum() compensates.
-    probability = functools.reduce(operator.add, (abs(a) ** 2 for a in kept.values()), 0.0)
+    probability = functools.reduce(operator.add, map(_square, kept.values()), 0.0)
     if probability < ZERO_PROBABILITY_TOL:
         return {}, 0.0, 0, 1.0
     scale = 1.0 / math.sqrt(probability)
@@ -93,11 +100,11 @@ def _reference_postselect(terms: dict, n_ports: int, pattern: CoincidencePattern
 def _reference_fidelity(terms: dict, target: dict) -> float:
     overlap = functools.reduce(
         operator.add, (target.get(s, 0.0 + 0.0j).conjugate() * a for s, a in terms.items()), 0j)
-    return min(abs(overlap) ** 2, 1.0)
+    return min(_square(overlap), 1.0)
 
 
 def _reference_norm_sq(terms: dict) -> float:
-    return sum(abs(a) ** 2 for a in terms.values())
+    return sum(map(_square, terms.values()))
 
 
 def _bits(z: complex) -> tuple[str, str]:
