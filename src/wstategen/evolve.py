@@ -11,9 +11,14 @@ Amplitudes between occupation patterns are permanents of row/column
 repeated submatrices with factorial normalization:
 
     <out|U|in> = per(U[out-rows, in-cols]) / sqrt(prod(in!) * prod(out!))
+
+:func:`transition_amplitude` and sectors of up to 2 photons take that
+permanent per pattern. From 3 photons on, :func:`_sector` adds the photons
+one at a time and gets every pattern's amplitude without a factorial.
 """
 from __future__ import annotations
 
+import functools
 import math
 from itertools import chain, combinations_with_replacement, product as iproduct
 
@@ -21,7 +26,8 @@ import numpy as np
 
 from .errors import CapacityError, NumericalError, int_text
 from .fock import FockState, Product, SuperposedState
-from .linalg import UNITARITY_TOL, WORK_CAP, permanent, permanent_work, square, verify_unitary
+from .linalg import (UNITARITY_TOL, WORK_CAP, outer, permanent, permanent_work, square,
+                     verify_unitary)
 
 # Exact-enumeration limits; see CapacityError.
 PATTERN_CAP = 10**6
@@ -45,13 +51,54 @@ def lift_to_modes(u: np.ndarray) -> np.ndarray:
     return lifted
 
 
+@functools.lru_cache(maxsize=16)
+def _levels(n: int, k: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
+    """Per level l < k, for each pattern m of l photons and port r: the row of m + e_r at
+    level l + 1 and sqrt(m_r + 1); then the int8 rows of level k. Rows ascend at every level.
+    """
+    # In ascending order, rank(m) = sum over p of N(n - p, S_p) - N(n - p, S_p - m_p), where S_p
+    # counts the photons at ports >= p and N(a, s) = C(a + s - 1, s). m + e_r raises S_p for
+    # p <= r, so by Pascal's rule its rank is rank(m) + sum_{p<r} (up_p - down_p) + up_r, with
+    # up_p = after[p, S_p], down_p = after[p, S_p - m_p] and after[p, s] = N(n - 1 - p, s + 1).
+    after = np.array([[math.comb(n - 1 - p + s, s + 1) for s in range(k)] for p in range(n)],
+                     dtype=np.intp)
+    rows, levels, ports = np.zeros((1, n), np.int8), [], np.arange(n)
+    for level in range(k):
+        tail = np.cumsum(rows[:, ::-1], axis=1, dtype=np.intp)[:, ::-1]
+        up, down = after[ports, tail], after[ports, tail - rows]
+        nxt = np.arange(len(rows))[:, None] + np.cumsum(up - down, axis=1) + down
+        levels.append((nxt, np.sqrt(rows + 1.0)))
+        # Each row of level + 1 once: m + e_r where m has no photon before port r.
+        i, r = np.nonzero(tail == level)
+        grown = rows[i]
+        grown[np.arange(len(i)), r] += 1
+        rows = grown[np.argsort(nxt[i, r])]
+    for a in (rows, *chain.from_iterable(levels)):
+        a.flags.writeable = False  # shared through the cache
+    return tuple(levels), rows
+
+
 def _sector(u: np.ndarray, occ_in: tuple[int, ...]) -> tuple[np.ndarray, list[complex]]:
     """Every output pattern of one polarization's photons, and <occ_out|U|occ_in> for each.
 
     Returns the int8 occupation table, one row per pattern in ascending
     order (``WORK_CAP`` keeps counts at most 24), and the amplitudes.
+    From 3 photons on, the photons enter one at a time: one from column c
+    sends m to m + e_r with the factor U[r, c] * sqrt(m_r + 1) / sqrt(j) for
+    the j-th photon of that column, and each level adds its terms with
+    ``np.bincount`` in row-major (m, r) order.
     """
     n, k = len(occ_in), sum(occ_in)
+    if k >= 3:
+        levels, occs = _levels(n, k)
+        amps = np.ones(1, dtype=complex)
+        photons = [(c, j) for c in range(n) for j in range(1, occ_in[c] + 1)]
+        for (nxt, roots), (c, j) in zip(levels, photons):
+            terms, weights = outer(amps, u[:, c]), roots / math.sqrt(j)
+            parts = [np.bincount(nxt.ravel(), (part * weights).ravel())
+                     for part in (terms.real, terms.imag)]
+            amps = np.stack(parts, axis=1).view(complex)[:, 0]
+        return occs, amps.tolist()
     count = math.comb(n + k - 1, k)
     # Each pattern is the sorted list of its photons' ports, which is also the row list of its
     # permanent; they come in descending occupation order, so reversed they ascend.
@@ -63,11 +110,8 @@ def _sector(u: np.ndarray, occ_in: tuple[int, ...]) -> tuple[np.ndarray, list[co
         return occs, [1.0 + 0.0j]
     cols = u[:, np.arange(n).repeat(occ_in)]
     in_norm = math.prod(map(math.factorial, occ_in))
-    # runs[j] ranks photon j of a sorted pattern at its port; prod(runs) = prod(count!), exact.
-    runs = np.ones((k, count), dtype=np.int64)
-    for j in range(1, k):
-        runs[j] += runs[j - 1] * (ports[:, j] == ports[:, j - 1])
-    out_norms = np.multiply.reduce(runs, axis=0, dtype=np.int64 if k <= 20 else object).tolist()
+    # prod(count!) of a pattern of k <= 2 photons: k! if they share a port, else 1.
+    out_norms = np.where(ports[:, 0] == ports[:, -1], math.factorial(k), 1).tolist()
     return occs, [permanent(cols.take(rows, axis=0)) / math.sqrt(in_norm * out_norm)
                   for rows, out_norm in zip(ports, out_norms)]
 

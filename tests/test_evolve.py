@@ -26,8 +26,9 @@ from wstategen.fock import (
     product_input,
     single_photon_state,
 )
-from wstategen.linalg import dft_multiport, permanent, verify_unitary
+from wstategen.linalg import dft_multiport, permanent, permanent_naive, verify_unitary
 from wstategen.schemes import scheme2_input
+from test_superposed_bits import _reference_sector
 
 evolve_module = importlib.import_module("wstategen.evolve")
 
@@ -80,14 +81,16 @@ def _bits(z):
     return struct.pack("dd", z.real, z.imag)
 
 
-def _reference_pairs(u, state):
+def _pattern_sector(u, occ_in):
+    """(occupation, amplitude) of every output pattern of one polarization, by the glue above."""
+    return [(occ, _single_pol_amplitude(u, occ_in, occ))
+            for occ in _occupation_vectors(len(occ_in), sum(occ_in))]
+
+
+def _reference_pairs(u, state, sector=_pattern_sector):
     """(output state, amplitude) for every H x V pattern pair, zeros included."""
     n = state.n_ports
-    per_pol = [
-        [(occ, _single_pol_amplitude(u, occ_in, occ))
-         for occ in _occupation_vectors(n, sum(occ_in))]
-        for occ_in in (state.h, state.v)
-    ]
+    per_pol = [sector(u, occ_in) for occ_in in (state.h, state.v)]
     return [(FockState(n, occ_h, occ_v), amp_h * amp_v)
             for (occ_h, amp_h), (occ_v, amp_v) in product(*per_pol)]
 
@@ -236,36 +239,54 @@ class TestEvolve:
             assert evolve(u, product_input(list(perm), 3)) == reference
 
     def test_thirteen_photons_on_beam_splitter(self):
-        # 14 patterns of 13x13 permanents: 1.5e6 multiply-adds, far under WORK_CAP.
+        # 14 patterns of 13 photons: 1.5e6 multiply-adds by the Gray-code count, far under
+        # WORK_CAP. The photon-by-photon kernel adds only terms of one sign here, so the
+        # amplitudes carry round-off up to 7.3e-16 and the norm 2.9e-15. Ryser's alternating
+        # sum over the repeated column cancelled from about 1e14 down to 6.9e7 and left
+        # 4.4e-11 and 1.9e-10.
         out = evolve(dft_multiport(2), product_input([(0, H)] * 13, 2))
-        # Ryser's alternating sum over the repeated column cancels from about 1e14
-        # down to 13!/2^6.5 = 6.9e7, so the amplitudes carry round-off up to 4.4e-11
-        # and the norm 1.9e-10: inside the normalization tolerance, not near 1e-12.
         assert len(out) == 14
-        assert abs(out.norm_sq() - 1) <= NORMALIZATION_TOL
+        assert abs(out.norm_sq() - 1) <= 4e-15
         for state, amp in out:
             j = state.h[0]
-            assert abs(amp - math.sqrt(math.comb(13, j)) / 2 ** 6.5) <= 1e-10, j
+            assert abs(amp - math.sqrt(math.comb(13, j)) / 2 ** 6.5) <= 1e-15, j
+
+    @pytest.mark.parametrize("k", [16, 19])
+    def test_bunched_photons_past_ryser_digits_on_beam_splitter(self, k):
+        # Both caps pass these; Ryser's sums missed the 1e-9 normalization tolerance
+        # (sum |amp|^2 = 0.99999998550 at 16, 1.00000039 at 19) and raised NumericalError.
+        out = evolve(dft_multiport(2), product_input([(0, H)] * k, 2))
+        assert len(out) == k + 1
+        assert abs(out.norm_sq() - 1) <= 4e-15
+        for state, amp in out:
+            j = state.h[0]
+            assert abs(amp - math.sqrt(math.comb(k, j)) / 2 ** (k / 2)) <= 1e-15, j
 
     def test_bit_identical_to_per_pattern_glue(self):
+        # The glue's bits up to 2 photons per sector; from 3 on, those of the pure-Python
+        # copy of the photon-by-photon kernel.
         for u, state in _bit_identity_cases():
             reference = SuperposedState(
-                {s: a for s, a in _reference_pairs(u, state) if a != 0}, state.n_ports)
+                {s: a for s, a in _reference_pairs(u, state, _reference_sector) if a != 0},
+                state.n_ports)
             out = evolve(u, state)
             assert out.terms == reference.terms, state
+            # `transition_amplitude` keeps its own permanent, which rounds otherwise from
+            # 3 photons on: 6.1e-15 apart at most on these cases.
+            tol = 0 if max(sum(state.h), sum(state.v)) <= 2 else 1e-13
             for out_state, amp in out:
-                assert transition_amplitude(u, state, out_state) == amp, (state, out_state)
+                assert abs(transition_amplitude(u, state, out_state) - amp) <= tol, (state,
+                                                                                   out_state)
 
     def test_bit_identical_on_polar_w_8(self):
-        # polar-w n=8: 3,432 H patterns of 7x7 permanents, sampled across the sector.
+        # polar-w n=8: 3,432 H patterns of 7 photons, sampled across the sector.
         n = 8
         u, state = dft_multiport(n), scheme2_input(n)
         out = evolve(u, state)
-        patterns = list(combinations_with_replacement(range(n), n - 1))[::-1]  # evolve's order
-        assert len(patterns) == 3432 and len(out) == 3432 * n
-        for i in (0, 1023, 1024, 2047, 2048, len(patterns) - 1):
-            occ_h = tuple(patterns[i].count(p) for p in range(n))
-            amp_h = _single_pol_amplitude(u, state.h, occ_h)
+        sector_h = _reference_sector(u, state.h)
+        assert len(sector_h) == 3432 and len(out) == 3432 * n
+        for i in (0, 1023, 1024, 2047, 2048, len(sector_h) - 1):
+            occ_h, amp_h = sector_h[i]
             for q in range(n):
                 occ_v = tuple(int(p == q) for p in range(n))
                 # A state adds each amplitude to 0.0, which turns -0.0 parts into 0.0.
@@ -277,23 +298,42 @@ class TestEvolve:
         # Six photons over 8 ports: 1,716 patterns, bunched and single-photon ports.
         u, occ_in = random_unitary(8, np.random.default_rng(31)), (1, 1, 1, 0, 2, 0, 1, 0)
         occs, amps = _sector(u, occ_in)
-        expected = sorted(tuple(ports.count(p) for p in range(8))
-                          for ports in combinations_with_replacement(range(8), 6))
+        expected = _reference_sector(u, occ_in)
         assert len(expected) == 1716 and occs.dtype == np.int8
-        assert list(map(tuple, occs.tolist())) == expected
-        assert list(map(_bits, amps)) == [_bits(_single_pol_amplitude(u, occ_in, occ))
-                                          for occ in expected]
+        assert list(map(tuple, occs.tolist())) == [occ for occ, _ in expected]
+        assert list(map(_bits, amps)) == [_bits(amp) for _, amp in expected]
+
+    @pytest.mark.parametrize("n, k", [(2, 10), (3, 9), (4, 6), (5, 8), (6, 5), (8, 6), (8, 10)])
+    def test_sector_matches_ryser_and_naive_on_bunched_inputs(self, n, k):
+        # k photons on the first half of the ports of a seeded Haar coupler, so most input
+        # ports hold two or more; a seeded sample of the output patterns is checked. Ryser's
+        # alternating sum loses digits on such inputs (4.4e-12 at n=2, k=10 against a
+        # 30-digit reference, where this kernel is off by 1.6e-16), so it gets 1e-10.
+        rng = np.random.default_rng(7000 + 100 * n + k)
+        u = random_unitary(n, rng)
+        occ_in = tuple(np.bincount(rng.integers(0, max(n // 2, 1), k), minlength=n).tolist())
+        assert max(occ_in) >= 2
+        occs, amps = _sector(u, occ_in)
+        assert len(amps) == math.comb(n + k - 1, k)
+        cols = np.arange(n).repeat(occ_in)
+        for i in rng.choice(len(amps), min(len(amps), 120), replace=False).tolist():
+            occ = tuple(occs[i].tolist())
+            assert abs(amps[i] - _single_pol_amplitude(u, occ_in, occ)) <= 1e-10, occ
+            if k <= 6:
+                norm = math.sqrt(math.prod(map(math.factorial, occ_in + occ)))
+                naive = permanent_naive(u[np.ix_(np.arange(n).repeat(occ), cols)]) / norm
+                assert abs(amps[i] - naive) <= 1e-12, occ
 
     def test_norms_past_int64_on_one_port(self):
-        # 21! is over int64's 20! limit. `evolve` admits 21 photons only on one port,
-        # where its norm check then fails, since the Gray-code sum of the all-ones
-        # 21x21 matrix is off by about 1e-6.
+        # 21! is over int64's 20! limit. Through [[1]] every photon's sqrt(m_r + 1) / sqrt(j)
+        # is exactly 1, so `evolve` gives exactly 1; `transition_amplitude` takes the
+        # Gray-code sum of the all-ones 21x21 matrix, which is off by about 1e-6.
         u, occ = np.eye(1), (21,)
-        expected = _single_pol_amplitude(u, occ, occ)
         occs, amps = _sector(u, occ)
-        assert occs.tolist() == [[21]] and len(amps) == 1
-        assert _bits(amps[0]) == _bits(expected)
+        assert occs.tolist() == [[21]] and list(map(_bits, amps)) == [_bits(1 + 0j)]
         state = FockState(1, occ, (0,))
+        assert list(evolve(u, state)) == [(state, 1 + 0j)]
+        expected = _single_pol_amplitude(u, occ, occ)
         assert _bits(transition_amplitude(u, state, state)) == _bits(expected * (1.0 + 0.0j))
 
     @pytest.mark.parametrize("occ_out", [(21, 0), (11, 10)])

@@ -5,6 +5,8 @@ vector, and ``postselect`` selects rows of it with a mask. The references
 below are the dict-based assembly and post-selection that the table
 replaced: one ``FockState`` per term in a dict, amplitudes multiplied as
 Python complex numbers, pruned with ``abs`` and added to ``0.0``, then sorted.
+The amplitudes of a sector come from a pure-Python copy of ``evolve``'s
+kernel: per pattern up to 2 photons, one photon at a time from 3 on.
 Each |amp|^2 is the exact square of ``abs(amp)`` rounded once, by ``Fraction``.
 Every amplitude, probability, fidelity and norm must carry the same bits.
 """
@@ -55,15 +57,36 @@ def _reference_amplitude(u: np.ndarray, occ_in: tuple, occ_out: tuple) -> comple
     return permanent(u[np.ix_(rows, cols)]) / math.sqrt(in_norm * out_norm)
 
 
+def _reference_sector(u: np.ndarray, occ_in: tuple) -> list:
+    """(occupation, <occ|U|occ_in>) of every output pattern of one polarization, ascending.
+
+    Up to 2 photons, :func:`_reference_amplitude` per pattern. From 3 on, the
+    photons enter one at a time: the j-th photon of column c sends m to
+    m + e_r with Python's complex ``u[r, c] * amp``, whose parts are then scaled
+    by sqrt(m_r + 1) / sqrt(j); each pattern adds its terms left to right from
+    0.0, in ascending order of m, then of r.
+    """
+    n = len(occ_in)
+    if sum(occ_in) <= 2:
+        occs = sorted(tuple(ports.count(p) for p in range(n))
+                      for ports in combinations_with_replacement(range(n), sum(occ_in)))
+        return [(occ, _reference_amplitude(u, occ_in, occ)) for occ in occs]
+    level = {(0,) * n: 1.0 + 0.0j}
+    for c, j in [(c, j) for c in range(n) for j in range(1, occ_in[c] + 1)]:
+        sums = {}
+        for m, amp in sorted(level.items()):
+            for r in range(n):
+                z, w = amp * complex(u[r, c]), math.sqrt(m[r] + 1) / math.sqrt(j)
+                grown = m[:r] + (m[r] + 1,) + m[r + 1:]
+                re, im = sums.get(grown, (0.0, 0.0))
+                sums[grown] = (re + z.real * w, im + z.imag * w)
+        level = {m: complex(re, im) for m, (re, im) in sums.items()}
+    return sorted(level.items())
+
+
 def _reference_sectors(u: np.ndarray, state: FockState) -> list:
     """(occupation, amplitude) of every output pattern, per polarization."""
-    n = state.n_ports
-    per_pol = []
-    for occ_in in (state.h, state.v):
-        patterns = combinations_with_replacement(range(n), sum(occ_in))
-        occs = [tuple(ports.count(p) for p in range(n)) for ports in patterns]
-        per_pol.append([(occ, _reference_amplitude(u, occ_in, occ)) for occ in occs])
-    return per_pol
+    return [_reference_sector(u, occ_in) for occ_in in (state.h, state.v)]
 
 
 def _reference_evolve(u: np.ndarray, state: FockState) -> dict:
