@@ -18,7 +18,6 @@ from wstategen.evolve import (
     transition_amplitude,
 )
 from wstategen.fock import (
-    NORMALIZATION_TOL,
     FockState,
     Mode,
     Polarization,

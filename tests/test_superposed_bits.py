@@ -62,7 +62,7 @@ def _reference_sector(u: np.ndarray, occ_in: tuple) -> list:
 
     Up to 2 photons, :func:`_reference_amplitude` per pattern. From 3 on, the
     photons enter one at a time: the j-th photon of column c sends m to
-    m + e_r with Python's complex ``u[r, c] * amp``, whose parts are then scaled
+    m + e_r with Python's complex ``amp * u[r, c]``, whose parts are then scaled
     by sqrt(m_r + 1) / sqrt(j); each pattern adds its terms left to right from
     0.0, in ascending order of m, then of r.
     """
