@@ -11,8 +11,8 @@ import operator
 class CapacityError(Exception):
     """Raised when a request exceeds the exact-enumeration limits.
 
-    Permanents cost O(2^k) and output-pattern counts grow combinatorially,
-    so oversized requests fail loudly instead of hanging.
+    Work and memory grow with the photons per polarization and the output
+    patterns, so oversized requests fail loudly instead of hanging.
     """
 
 

@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericalError, int_text
 from .fock import FockState, Product, SuperposedState
-from .linalg import (UNITARITY_TOL, WORK_CAP, outer, permanent, permanent_work, square,
-                     verify_unitary)
+from .linalg import PHOTON_CAP, UNITARITY_TOL, outer, permanent, square, verify_unitary
 
 # Exact-enumeration limits; see CapacityError.
 PATTERN_CAP = 10**6
@@ -82,7 +81,7 @@ def _sector(u: np.ndarray, occ_in: tuple[int, ...]) -> tuple[np.ndarray, list[co
     """Every output pattern of one polarization's photons, and <occ_out|U|occ_in> for each.
 
     Returns the int8 occupation table, one row per pattern in ascending
-    order (``WORK_CAP`` keeps counts at most 24), and the amplitudes.
+    order (``PHOTON_CAP`` keeps counts at most 24), and the amplitudes.
     From 3 photons on, the photons enter one at a time: one from column c
     sends m to m + e_r with the factor U[r, c] * sqrt(m_r + 1) / sqrt(j) for
     the j-th photon of that column, and each level adds its terms with
@@ -104,8 +103,9 @@ def _sector(u: np.ndarray, occ_in: tuple[int, ...]) -> tuple[np.ndarray, list[co
     # permanent; they come in descending occupation order, so reversed they ascend.
     ports = np.fromiter(chain.from_iterable(combinations_with_replacement(range(n), k)),
                         np.intp, count * k).reshape(count, k)[::-1]
-    occs = np.bincount((ports + n * np.arange(count)[:, None]).ravel(),
-                       minlength=count * n).reshape(count, n).astype(np.int8)
+    occs, rows = np.zeros((count, n), np.int8), np.arange(count)
+    for col in ports.T:
+        occs[rows, col] += 1
     if not k:
         return occs, [1.0 + 0.0j]
     cols = u[:, np.arange(n).repeat(occ_in)]
@@ -132,10 +132,10 @@ def transition_amplitude(u: np.ndarray, input_state: FockState,
     u = _require_compatible(u, input_state, output_state)
     if input_state.photons_per_pol() != output_state.photons_per_pol():
         return 0.0 + 0.0j
-    # Before any index list: 25 photons are over the cap alone, and min() keeps 2^k small.
-    k = max(sum(input_state.h), sum(input_state.v))
-    if permanent_work(min(k, 25)) > WORK_CAP:
-        raise CapacityError(f"{int_text(k)} photons: a permanent over the {WORK_CAP} work cap")
+    # Before any index list or submatrix.
+    if (k := max(sum(input_state.h), sum(input_state.v))) > PHOTON_CAP:
+        raise CapacityError(f"{int_text(k)} photons of one polarization, "
+                            f"over the {PHOTON_CAP}-photon cap")
     ports = np.arange(input_state.n_ports)
 
     def sector(occ_in: tuple[int, ...], occ_out: tuple[int, ...]) -> complex:
@@ -148,20 +148,15 @@ def transition_amplitude(u: np.ndarray, input_state: FockState,
 
 
 def require_capacity(state: FockState) -> None:
-    """CapacityError past ``PATTERN_CAP`` terms or ``WORK_CAP`` work, from the state alone."""
+    """CapacityError past ``PHOTON_CAP`` photons of one polarization, then ``PATTERN_CAP`` terms."""
     n, k_h, k_v = state.n_ports, sum(state.h), sum(state.v)
     photons = f"{int_text(k_h)} H and {int_text(k_v)} V photons over {n} ports"
-    # C(n+k-1, k) >= ((n+k-1) // j)**j, j = min(k, n-1): 2**1001 stands in once that passes 2**1000.
-    p_h, p_v = (2**1001 if (j := min(k, n - 1)) * ((n + k - 1) // max(j, 1)).bit_length() - j > 1000
-                else math.comb(n + k - 1, k) for k in (k_h, k_v))
-    if p_h * p_v > PATTERN_CAP:
-        raise CapacityError(f"{photons} give {int_text(p_h * p_v)} output terms, "
+    if max(k_h, k_v) > PHOTON_CAP:
+        raise CapacityError(f"{photons}: over the {PHOTON_CAP}-photon cap per polarization")
+    terms = math.comb(n + k_h - 1, k_h) * math.comb(n + k_v - 1, k_v)
+    if terms > PATTERN_CAP:
+        raise CapacityError(f"{photons} give {terms} output terms, "
                             f"over the {PATTERN_CAP} output-term cap")
-    # 25 photons in one pattern are over the cap alone; min() keeps 2^k small past that.
-    work = p_h * permanent_work(min(k_h, 25)) + p_v * permanent_work(min(k_v, 25))
-    if work > WORK_CAP:
-        raise CapacityError(f"{photons} need at least {int_text(work)} multiply-adds, "
-                            f"over the {WORK_CAP} work cap")
 
 
 def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
@@ -169,7 +164,7 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
 
     Enumerates every output occupation pattern with the input's photon number
     per polarization; terms appear in lexicographic occupation order, H sector
-    major. Over ``PATTERN_CAP`` terms or ``WORK_CAP`` multiply-adds: CapacityError.
+    major. Past either cap of :func:`require_capacity`: CapacityError.
     """
     u = _require_compatible(u, input_state)
     require_capacity(input_state)

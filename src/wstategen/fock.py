@@ -237,7 +237,7 @@ class SuperposedState:
     The terms are stored as two read-only arrays in ascending tuple order
     of their states: ``occupations``, an int table with one row per term
     (the ``h`` counts, then the ``v`` counts; int8 when built by ``evolve``,
-    whose work cap keeps counts at most 24), and ``amplitudes``, a complex128
+    whose photon cap keeps counts at most 24), and ``amplitudes``, a complex128
     vector. Its kets and JSON term list are written from the table rows
     by one per-port renderer; :class:`FockState` objects are built only
     when the terms are iterated, listed or looked up.

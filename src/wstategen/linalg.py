@@ -23,8 +23,8 @@ from .errors import CapacityError, json_fields, size
 
 UNITARITY_TOL = 1e-10
 
-# Multiply-adds of a 24x24 permanent: the most `permanent` and `evolve` take on.
-WORK_CAP = 24 * ((1 << 24) - 1)
+# The most photons of one polarization, or rows of a permanent, that any kernel takes on.
+PHOTON_CAP = 24
 
 # Gray-code steps per numpy pass in `permanent`; bounds its memory.
 _GRAY_CHUNK = 1 << 14
@@ -80,15 +80,10 @@ def verify_unitary(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) <= UNITARITY_TOL)
 
 
-def permanent_work(k: int) -> int:
-    """Multiply-adds of the Gray-code permanent of a k x k matrix: (2^k - 1) * k."""
-    return ((1 << k) - 1) * k
-
-
 def permanent(m: np.ndarray) -> complex:
     """Permanent of a square complex matrix via Ryser's formula with Gray-code updates.
 
-    :func:`permanent_work` multiply-adds in O(2^14 * k) memory; over ``WORK_CAP``
+    (2^k - 1) * k multiply-adds in O(2^14 * k) memory; over ``PHOTON_CAP`` rows
     a :class:`CapacityError`. Numpy chunks add the steps up in the sequential
     Gray-code order, so results are bit-identical to a step loop.
     """
@@ -96,8 +91,8 @@ def permanent(m: np.ndarray) -> complex:
     n = a.shape[0]
     if n == 0:
         raise ValueError("the permanent needs a non-empty matrix")
-    if permanent_work(n) > WORK_CAP:
-        raise CapacityError(f"a {n}x{n} permanent is over the {WORK_CAP} multiply-add work cap")
+    if n > PHOTON_CAP:
+        raise CapacityError(f"a {n}x{n} permanent is over the {PHOTON_CAP}-photon cap")
     if n == 1:
         # The single step of the chunked form, written out: same bits, no arrays.
         return -(0j - (0j + complex(a[0, 0])))

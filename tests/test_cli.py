@@ -289,7 +289,7 @@ class TestEvolve:
         assert "cannot read input state" in capsys.readouterr().err
 
     def test_4001_digit_count_exits_3(self, tritter_path, tmp_path, capsys):
-        # C(10^4000 + 2, 2) output terms: 8,000 digits, more than str() writes.
+        # Over the photon cap; the message writes the 4,001-digit count by its bit length.
         input_path = tmp_path / "input.json"
         input_path.write_text(
             f'{{"nPorts": 3, "occ": [{{"port": 0, "pol": "H", "count": 1{"0" * 4000}}}]}}')

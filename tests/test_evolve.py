@@ -30,6 +30,7 @@ from wstategen.schemes import scheme2_input
 from test_superposed_bits import _reference_sector
 
 evolve_module = importlib.import_module("wstategen.evolve")
+linalg_module = importlib.import_module("wstategen.linalg")
 
 H, V = Polarization.H, Polarization.V
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -238,11 +239,10 @@ class TestEvolve:
             assert evolve(u, product_input(list(perm), 3)) == reference
 
     def test_thirteen_photons_on_beam_splitter(self):
-        # 14 patterns of 13 photons: 1.5e6 multiply-adds by the Gray-code count, far under
-        # WORK_CAP. The photon-by-photon kernel adds only terms of one sign here, so the
-        # amplitudes carry round-off up to 7.3e-16 and the norm 2.9e-15. Ryser's alternating
-        # sum over the repeated column cancelled from about 1e14 down to 6.9e7 and left
-        # 4.4e-11 and 1.9e-10.
+        # 14 patterns of 13 photons, under both caps. The photon-by-photon kernel adds only
+        # terms of one sign here, so the amplitudes carry round-off up to 7.3e-16 and the
+        # norm 2.9e-15. Ryser's alternating sum over the repeated column cancelled from
+        # about 1e14 down to 6.9e7 and left 4.4e-11 and 1.9e-10.
         out = evolve(dft_multiport(2), product_input([(0, H)] * 13, 2))
         assert len(out) == 14
         assert abs(out.norm_sq() - 1) <= 4e-15
@@ -302,6 +302,20 @@ class TestEvolve:
         assert list(map(tuple, occs.tolist())) == [occ for occ, _ in expected]
         assert list(map(_bits, amps)) == [_bits(amp) for _, amp in expected]
 
+    def test_two_photon_table_is_counted_in_int8(self):
+        # 8,256 patterns of 2 photons over 128 ports: a 1 MiB int8 table, which an int64
+        # count would make 8 MiB on the way.
+        u, occ_in = dft_multiport(128), (1, 1) + (0,) * 126
+        tracemalloc.start()
+        try:
+            occs, _ = _sector(u, occ_in)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert occs.dtype == np.int8 and occs.shape == (8256, 128)
+        assert occs.sum(axis=1).tolist() == [2] * 8256
+        assert peak < 2 * occs.nbytes
+
     @pytest.mark.parametrize("n, k", [(2, 10), (3, 9), (4, 6), (5, 8), (6, 5), (8, 6), (8, 10)])
     def test_sector_matches_ryser_and_naive_on_bunched_inputs(self, n, k):
         # k photons on the first half of the ports of a seeded Haar coupler, so most input
@@ -337,7 +351,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("occ_out", [(21, 0), (11, 10)])
     def test_norms_past_int64_on_beam_splitter(self, occ_out):
-        # `transition_amplitude` takes any photon number the work cap admits.
+        # `transition_amplitude` takes any photon number the photon cap admits.
         u, occ_in = dft_multiport(2), (21, 0)
         expected = _single_pol_amplitude(u, occ_in, occ_out) * (1.0 + 0.0j)
         got = transition_amplitude(u, FockState(2, occ_in, (0, 0)), FockState(2, occ_out, (0, 0)))
@@ -364,50 +378,97 @@ class TestEvolve:
         assert peak < 1_000_000
 
     def test_work_cap_fails_before_any_work(self, monkeypatch):
-        # 12 H photons at port 0 of DFT_9: 125,970 patterns of 12x12 permanents, 6.2e9
-        # multiply-adds, though only 125,970 output terms.
+        # 25 H photons at port 0 of DFT_2: only 26 output terms, but over the photon cap,
+        # which bounds the number of levels.
         def no_permanent(m):
             raise AssertionError("permanent called past the cap check")
 
         def no_verify(m):
             raise AssertionError("unitarity checked before the cap check")
 
+        def no_levels(n, k):
+            raise AssertionError("level tables built past the cap check")
+
         monkeypatch.setattr(evolve_module, "permanent", no_permanent)
         monkeypatch.setattr(evolve_module, "verify_unitary", no_verify)
-        with pytest.raises(CapacityError, match="6190165800 multiply-adds"):
-            evolve(dft_multiport(9), product_input([(0, H)] * 12, 9))
+        monkeypatch.setattr(evolve_module, "_levels", no_levels)
+        with pytest.raises(CapacityError, match=r"^25 H and 0 V photons over 2 ports: "
+                                                r"over the 24-photon cap per polarization$"):
+            evolve(dft_multiport(2), product_input([(0, H)] * 25, 2))
+
+    def test_twelve_photons_at_one_port_of_dft_9(self):
+        # 12 photons are under the photon cap: 125,970 output terms from 1.5 M level entries
+        # (k * C(n + k - 1, k)), though one 12x12 Gray-code permanent per pattern would be
+        # 6.2e9 multiply-adds.
+        u, occ_in = dft_multiport(9), (12,) + (0,) * 8
+        out = evolve(u, FockState(9, occ_in, (0,) * 9))
+        assert len(out) == 125_970
+        assert abs(out.norm_sq() - 1) <= 1e-12
+        rng = np.random.default_rng(1209)
+        for i in rng.choice(len(out), 40, replace=False).tolist():
+            occ = tuple(out.occupations[i, :9].tolist())
+            state = FockState(9, occ, (0,) * 9)
+            expected = transition_amplitude(u, FockState(9, occ_in, (0,) * 9), state)
+            assert abs(out.amplitudes[i] - expected) <= 1e-12, occ
+
+    def test_photon_cap_boundary(self, monkeypatch):
+        # 24 photons of one polarization pass every kernel's cap; 25 fail before any work.
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        for k in (24, 25):
+            with monkeypatch.context() as m:
+                # The Gray-code sums at 24 take seconds; reaching them is the point.
+                m.setattr(linalg_module, "_gray_plan", reached)
+                m.setattr(evolve_module, "permanent", reached)
+                state = FockState(1, (k,), (0,))
+                with pytest.raises(Reached if k == 24 else CapacityError):
+                    permanent(np.ones((k, k)))
+                with pytest.raises(Reached if k == 24 else CapacityError):
+                    transition_amplitude(np.eye(1), state, state)
+            if k == 24:
+                assert list(evolve(np.eye(1), state)) == [(state, 1 + 0j)]
+            else:
+                with pytest.raises(CapacityError, match="24-photon cap"):
+                    evolve(np.eye(1), state)
 
     @pytest.mark.parametrize("k_h, k_v", [(25, 0), (0, 25), (10**18, 0),
                                           pytest.param(10**5000, 0, id="10**5000-0")])
     def test_transition_amplitude_work_cap_fails_before_any_work(self, monkeypatch, k_h, k_v):
-        # A 25x25 permanent is over the cap; the matrix must not be built to find out.
+        # 25 photons of one polarization are over the photon cap; the matrix must not be
+        # built to find out.
         def no_permanent(m):
             raise AssertionError("permanent called past the cap check")
 
         monkeypatch.setattr(evolve_module, "permanent", no_permanent)
         state = FockState(1, (k_h,), (k_v,))
-        with pytest.raises(CapacityError, match="work cap"):
+        with pytest.raises(CapacityError, match=r"photons of one polarization, "
+                                                r"over the 24-photon cap$"):
             transition_amplitude(np.eye(1), state, state)
 
     def test_no_huge_comb_before_the_refusal(self, monkeypatch):
-        # A 4,300-digit H count at one port of 1,001: math.comb of it took 8.2 s.
+        # A 4,300-digit H count at one port of 1,001: math.comb of it took 8.2 s. The photon
+        # cap comes first, so no comb forms more than 24 factors.
         comb = math.comb
 
         def small_comb(n, k):
-            if n > 2**64:
-                raise AssertionError(f"math.comb of a {n.bit_length()}-bit number")
+            if n > 2**64 or k > 24:
+                raise AssertionError(f"math.comb of a {n.bit_length()}-bit number, {k} factors")
             return comb(n, k)
 
         monkeypatch.setattr(math, "comb", small_comb)
         state = FockState(1001, (10**4299,) + (0,) * 1000, (0,) * 1001)
         with pytest.raises(CapacityError, match=r"^over 2\*\*14280 H and 0 V photons over 1001 "
-                                                r"ports give over 2\*\*1001 output terms"):
+                                                r"ports: over the 24-photon cap"):
             require_capacity(state)
 
     def test_huge_count_on_one_port_is_capped(self):
-        # One pattern, but 2^k for k = 10^18 would exhaust memory before the check.
+        # One pattern, but 10^18 photons would be 10^18 levels of tables.
         state = FockState(1, (10**18,), (0,))
-        with pytest.raises(CapacityError, match="work cap"):
+        with pytest.raises(CapacityError, match="24-photon cap"):
             evolve(np.eye(1), state)
 
     @pytest.mark.parametrize("n, capped", [(10, False), (11, True), (12, True)])

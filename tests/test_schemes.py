@@ -65,8 +65,9 @@ class TestRunPathW:
 
 @pytest.mark.parametrize("run, error, match", [
     (lambda: run_polarization_w(11), CapacityError, "2032316 output terms"),
-    # 2**1001 stands in for C(39998, 19999), times 20,000 V patterns.
-    (lambda: run_polarization_w(20000), CapacityError, r"give over 2\*\*1015 output terms"),
+    # 19,999 H photons are over the photon cap before any output term is counted.
+    (lambda: run_polarization_w(20000), CapacityError,
+     r"^19999 H and 1 V photons over 20000 ports: over the 24-photon cap"),
     (lambda: run_path_w(3, 5), ValueError, r"^port 5 out of range for 3 ports$"),
 ], ids=["polar-w-11", "polar-w-20000", "path-w-port"])
 def test_inputs_checked_before_any_coupler(monkeypatch, run, error, match):
