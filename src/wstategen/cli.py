@@ -83,7 +83,7 @@ def rational_notes(values: Sequence[float]) -> list[str]:
 def _print_superposed(state: SuperposedState, fmt: str, stream, heading: str) -> None:
     kets = state.kets()
     amps = state.amplitudes.tolist()
-    probs = list(probabilities(amps))
+    probs = probabilities(state.amplitudes).tolist()
     if fmt == "csv":
         lines = ["state,re,im,probability\n"]
         lines += [f"{ket},{amp.real:.12g},{amp.imag:.12g},{prob:.12g}\n"

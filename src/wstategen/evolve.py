@@ -50,8 +50,19 @@ def lift_to_modes(u: np.ndarray) -> np.ndarray:
     return lifted
 
 
-@functools.lru_cache(maxsize=16)
+# Level tables of more entries than this, k * C(n + k - 1, k), are built per call, not cached:
+# 24 photons over 7 ports would hold 221 MiB after the call.
+_LEVELS_CACHE_ENTRIES = 10**5
+
+
 def _levels(n: int, k: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
+    """The tables of :func:`_level_tables`, cached if at most ``_LEVELS_CACHE_ENTRIES`` entries."""
+    if k * math.comb(n + k - 1, k) > _LEVELS_CACHE_ENTRIES:
+        return _level_tables(n, k)
+    return _cached_level_tables(n, k)
+
+
+def _level_tables(n: int, k: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
     """Per level l < k, for each pattern m of l photons and port r: the row of m + e_r at
     level l + 1 and sqrt(m_r + 1); then the int8 rows of level k. Rows ascend at every level.
     """
@@ -77,7 +88,10 @@ def _levels(n: int, k: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], 
     return tuple(levels), rows
 
 
-def _sector(u: np.ndarray, occ_in: tuple[int, ...]) -> tuple[np.ndarray, list[complex]]:
+_cached_level_tables = functools.lru_cache(maxsize=16)(_level_tables)
+
+
+def _sector(u: np.ndarray, occ_in: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | list]:
     """Every output pattern of one polarization's photons, and <occ_out|U|occ_in> for each.
 
     Returns the int8 occupation table, one row per pattern in ascending
@@ -97,7 +111,7 @@ def _sector(u: np.ndarray, occ_in: tuple[int, ...]) -> tuple[np.ndarray, list[co
             parts = [np.bincount(nxt.ravel(), (part * weights).ravel())
                      for part in (terms.real, terms.imag)]
             amps = np.stack(parts, axis=1).view(complex)[:, 0]
-        return occs, amps.tolist()
+        return occs, amps
     count = math.comb(n + k - 1, k)
     # Each pattern is the sorted list of its photons' ports, which is also the row list of its
     # permanent; they come in descending occupation order, so reversed they ascend.

@@ -120,9 +120,12 @@ class FockState(NamedTuple):
         return f"|{' '.join(pieces)}>" if pieces else f"|vac;{self.n_ports}>"
 
 
-def probabilities(amplitudes: Iterable[complex]) -> Iterator[float]:
-    """Each |a|^2 as ``m * m``, ``m = abs(a)``: correctly rounded, unlike libm's ``pow(m, 2)``."""
-    return (m * m for m in map(abs, amplitudes))
+def probabilities(amplitudes: Sequence[complex] | np.ndarray) -> np.ndarray:
+    """Each |a|^2 as ``m * m``, ``m = np.hypot(a.real, a.imag)``, the bits of ``abs(a)``:
+    correctly rounded, unlike libm's ``pow(m, 2)``."""
+    a = np.asarray(amplitudes, dtype=complex)
+    m = np.hypot(a.real, a.imag)
+    return m * m
 
 
 def _ket_piece(port: int, ch: int, cv: int, first: bool) -> str:
@@ -132,14 +135,8 @@ def _ket_piece(port: int, ch: int, cv: int, first: bool) -> str:
     return text if first else " " + text
 
 
-# Rows per ``tolist`` call when a whole table is read row by row or written as text.
+# Rows per block when a whole table is written as text.
 _BLOCK = 1024
-
-
-def _listed(a: np.ndarray) -> Iterator:
-    """``iter(a.tolist())``, listing a block of rows at a time so few Python objects live."""
-    for start in range(0, len(a), _BLOCK):
-        yield from a[start:start + _BLOCK].tolist()
 
 
 def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool], str]
@@ -250,11 +247,11 @@ class SuperposedState:
             items = terms.items() if isinstance(terms, Mapping) else terms
             sums: dict[FockState, complex] = {}
             for state, amp in items:
+                if state.n_ports != n_ports:
+                    raise ValueError(f"term {state} has {state.n_ports} ports, expected {n_ports}")
                 amp = complex(amp)
                 if abs(amp) < AMPLITUDE_PRUNE_TOL:
                     continue
-                if state.n_ports != n_ports:
-                    raise ValueError(f"term {state} has {state.n_ports} ports, expected {n_ports}")
                 sums[state] = sums.get(state, 0.0) + amp
             # The sums that cancel are pruned below, so they hold no photon count.
             if len({(sum(h), sum(v)) for (_, h, v), a in sums.items()
@@ -326,7 +323,7 @@ class SuperposedState:
         return kets
 
     def norm_sq(self) -> float:
-        return sum(probabilities(_listed(self.amplitudes)))
+        return sum(probabilities(self.amplitudes).tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SuperposedState):

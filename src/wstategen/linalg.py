@@ -241,4 +241,8 @@ def matrix_from_json_obj(obj: dict) -> np.ndarray:
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
     """Read a matrix written by :func:`write_matrix`; see :func:`matrix_from_json_obj`."""
     with open(path) as f:
-        return matrix_from_json_obj(json.load(f))
+        try:
+            obj = json.load(f)
+        except RecursionError:  # a RuntimeError; bad input raises ValueError
+            raise ValueError(f"{os.fspath(path)}: JSON nested too deep") from None
+    return matrix_from_json_obj(obj)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, jsontext
+from . import fock, jsontext, linalg
 from .errors import NumericalError, int_text, integer
 from .fock import NORMALIZATION_TOL, FockState, Product, SuperposedState, fock_states, row_keys
 
@@ -89,16 +89,16 @@ def postselect(state: SuperposedState, pattern: CoincidencePattern) -> PostSelec
     state is empty rather than renormalized noise.
     """
     mask = pattern.mask(state)
-    kept = state.amplitudes[mask].tolist()
+    kept = state.amplitudes[mask]
     probability = 0.0
-    for p in fock.probabilities(kept):  # left to right on every Python; sum() compensates from 3.12
+    for p in fock.probabilities(kept).tolist():  # left to right; sum() compensates from 3.12
         probability += p
     if probability < ZERO_PROBABILITY_TOL:
         conditional = SuperposedState({}, state.n_ports, require_normalized=False)
         return PostSelectionResult(conditional, 0.0, 0, 1.0)
     scale = 1.0 / math.sqrt(probability)
-    conditional = SuperposedState(
-        Product((state.occupations[mask], [a * scale for a in kept])), state.n_ports
+    conditional = SuperposedState(  # each a * scale, in the real form of Python's complex * float
+        Product((state.occupations[mask], linalg.outer(kept, [scale])[:, 0])), state.n_ports
     )
     return PostSelectionResult(conditional, probability, len(kept), 1.0 - probability)
 
@@ -131,7 +131,7 @@ def fidelity(state: SuperposedState, target: SuperposedState) -> float:
     overlap = 0j
     for i, j in rows:  # left to right, as for the probability in `postselect`
         overlap += target_amps[j].conjugate() * amps[i]
-    (value,) = fock.probabilities([overlap])
+    (value,) = fock.probabilities([overlap]).tolist()
     if value > 1.0 + NORMALIZATION_TOL:
         raise NumericalError(f"fidelity {value!r} exceeds 1: a state is not normalized")
     return min(value, 1.0)

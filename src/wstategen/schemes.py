@@ -29,13 +29,12 @@ from .postselect import CoincidencePattern, PostSelectionResult, fidelity, posts
 PUBLISHED_PROBABILITIES = {3: "1/9", 4: "1/16"}
 
 
-def _single_photon_output(u: np.ndarray, state: FockState) -> tuple[SuperposedState, list[complex]]:
+def _single_photon_output(u: np.ndarray, state: FockState) -> tuple[SuperposedState, np.ndarray]:
     """Output of the one-H-photon ``state`` through ``u``, and its amplitude at each port."""
     n, out = state.n_ports, evolve(u, state)
-    amps = [0.0 + 0.0j] * n
+    amps = np.zeros(n, dtype=complex)
     # Each term holds the photon at one port, the one nonzero H column of its row.
-    for p, amp in zip(np.nonzero(out.occupations[:, :n])[1].tolist(), out.amplitudes.tolist()):
-        amps[p] = amp
+    amps[np.nonzero(out.occupations[:, :n])[1]] = out.amplitudes
     return out, amps
 
 
@@ -93,7 +92,7 @@ def run_path_w(n: int, input_port: int = 0) -> SchemeReport:
     state = single_photon_state(input_port, Polarization.H, n)  # checks input_port before DFT_n
     u = linalg.dft_multiport(n)
     out, amps = _single_photon_output(u, state)
-    probs = tuple(fock.probabilities(amps))
+    probs = tuple(fock.probabilities(amps).tolist())
     uniform = all(abs(p - 1.0 / n) <= 1e-12 for p in probs)
     return SchemeReport(
         scheme_kind="path-W",
@@ -165,7 +164,7 @@ def run_designed_path(target: np.ndarray) -> SchemeReport:
     u = linalg.complete_unitary_from_column(c)
     out, amps = _single_photon_output(u, single_photon_state(0, Polarization.H, n))
     target_state = target_from_coefficients(c[::-1], "path")
-    for p, amp in enumerate(amps):
+    for p, amp in enumerate(amps.tolist()):
         if abs(amp - c[p]) > linalg.UNITARITY_TOL:
             raise NumericalError(
                 f"designed output at port {p} is {amp}, expected {c[p]}"
@@ -178,5 +177,5 @@ def run_designed_path(target: np.ndarray) -> SchemeReport:
         post_selection=None,
         fidelity_to_target=fidelity(out, target_state),
         success_probability=1.0,
-        port_probabilities=tuple(fock.probabilities(c.tolist())),
+        port_probabilities=tuple(fock.probabilities(c).tolist()),
     )

@@ -26,7 +26,7 @@ from wstategen.fock import (
     single_photon_state,
 )
 from wstategen.linalg import dft_multiport, permanent, permanent_naive, verify_unitary
-from wstategen.schemes import scheme2_input
+from wstategen.schemes import run_polarization_w, scheme2_input
 from test_superposed_bits import _reference_sector
 
 evolve_module = importlib.import_module("wstategen.evolve")
@@ -377,7 +377,7 @@ class TestEvolve:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_work_cap_fails_before_any_work(self, monkeypatch):
+    def test_photon_cap_fails_before_any_work(self, monkeypatch):
         # 25 H photons at port 0 of DFT_2: only 26 output terms, but over the photon cap,
         # which bounds the number of levels.
         def no_permanent(m):
@@ -411,6 +411,27 @@ class TestEvolve:
             expected = transition_amplitude(u, FockState(9, occ_in, (0,) * 9), state)
             assert abs(out.amplitudes[i] - expected) <= 1e-12, occ
 
+    def test_large_level_tables_are_not_held(self):
+        # 12 photons at one port of DFT_9 need 1.5 M level entries, over the cache bound:
+        # cached, their tables held 24 MiB after the call (24 photons over 7 ports, 221 MiB).
+        u, state = dft_multiport(9), FockState(9, (12,) + (0,) * 8, (0,) * 9)
+        tracemalloc.start()
+        try:
+            out = evolve(u, state)
+            assert len(out) == 125_970
+            del out
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 5 * 2**20
+
+    def test_scheme_level_tables_are_cached(self):
+        # Polar-w n=8's H sector, 7 photons over 8 ports, has 24,024 level entries.
+        run_polarization_w(8)
+        hits = evolve_module._cached_level_tables.cache_info().hits
+        run_polarization_w(8)
+        assert evolve_module._cached_level_tables.cache_info().hits == hits + 1
+
     def test_photon_cap_boundary(self, monkeypatch):
         # 24 photons of one polarization pass every kernel's cap; 25 fail before any work.
         class Reached(Exception):
@@ -437,7 +458,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("k_h, k_v", [(25, 0), (0, 25), (10**18, 0),
                                           pytest.param(10**5000, 0, id="10**5000-0")])
-    def test_transition_amplitude_work_cap_fails_before_any_work(self, monkeypatch, k_h, k_v):
+    def test_transition_amplitude_photon_cap_fails_before_any_work(self, monkeypatch, k_h, k_v):
         # 25 photons of one polarization are over the photon cap; the matrix must not be
         # built to find out.
         def no_permanent(m):
@@ -558,6 +579,27 @@ class TestInvariants:
             expected = SuperposedState({_permuted(s, p_perm): a for s, a in evolve(u, state)}, n)
             moved = _permuted(state, np.argsort(q_perm))
             assert evolve(p @ u @ q, moved).allclose(expected, tol=1e-12), state
+
+    @pytest.mark.parametrize("n, h, v, terms", [
+        (3, (1, 1, 0), (0, 0, 1), 18),  # a 2-photon sector, one Gray-code permanent per pattern
+        (5, (3, 3, 2, 0, 0), (0,) * 5, 495),
+        (6, (1, 0, 2, 0, 0, 0), (0, 1, 0, 0, 1, 1), 3136),
+        (8, (4, 0, 3, 0, 2, 0, 1, 0), (0,) * 8, 19_448),
+    ])
+    def test_diagonal_phase_covariance(self, n, h, v, terms):
+        # evolve(D1 U D2, s) is evolve(U, s) with each term m times prod_r a_r^(m_r^H + m_r^V)
+        # and prod_c b_c^(s_c^H + s_c^V), for D1 = diag(a) and D2 = diag(b).
+        rng = np.random.default_rng(1500 + n)
+        u = random_unitary(n, rng)
+        a, b = (np.exp(2j * math.pi * rng.random(n)) for _ in "ab")
+        state = FockState(n, h, v)
+        out = evolve(u, state)
+        got = evolve(a[:, None] * u * b, state)
+        assert len(out) == terms
+        spatial = out.occupations[:, :n] + out.occupations[:, n:]
+        phases = np.prod(a ** spatial, axis=1) * np.prod(b ** np.add(h, v))
+        assert np.array_equal(got.occupations, out.occupations)
+        assert np.max(np.abs(got.amplitudes - out.amplitudes * phases)) <= 1e-12
 
     def test_outputs_of_distinct_inputs_are_orthogonal(self):
         # Every input of 2 H and 1 V photons over 6 ports, bunched ones included.

@@ -320,7 +320,9 @@ class TestSuperposedInputForms:
 def _faulty_terms(terms):
     """(name, ``terms`` with one fault, message) for each fault ``SuperposedState`` rejects.
 
-    Each fault sits on the largest term, so pruning never hides it.
+    Each amplitude fault sits on the largest term, so pruning never hides it. A
+    term's port count is checked before pruning, so a wide term of amplitude 0
+    is rejected too.
     """
     i = max(range(len(terms)), key=lambda k: abs(terms[k][1]))
     state, amp = terms[i]
@@ -331,6 +333,7 @@ def _faulty_terms(terms):
 
     return [
         ("ports", swap((wide, amp)), f"term {wide} has 4 ports, expected 3"),
+        ("zero-amplitude ports", terms + [(wide, 0.0)], f"term {wide} has 4 ports, expected 3"),
         ("totals", terms + [(FockState(3, (1, 1, 1), (0, 0, 0)), 1e-6)],
          "terms differ in photon count per polarization"),
         ("nan", swap((state, complex(math.nan, 0.0))), f"non-finite amplitude for {state}"),
@@ -471,6 +474,7 @@ class TestProbabilities:
         rng = np.random.default_rng(0)
         amps = rng.uniform(1e-6, 1, 4000).tolist()
         amps += (rng.normal(size=4000) + 1j * rng.normal(size=4000)).tolist()
-        got = list(probabilities(amps))
-        assert all(type(p) is float for p in got)
-        assert list(map(float.hex, got)) == [float.hex(float(Fraction(abs(a)) ** 2)) for a in amps]
+        got = probabilities(amps)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (8000,)
+        assert list(map(float.hex, got.tolist())) == [float.hex(float(Fraction(abs(a)) ** 2))
+                                                      for a in amps]

@@ -436,3 +436,11 @@ class TestMatrixIO:
         path.write_text('{"n": 1, "entries": [[NaN, 0.0]]}')
         with pytest.raises(ValueError):
             linalg.read_matrix(path)
+
+    def test_rejects_json_nested_too_deep(self, tmp_path):
+        # The parser's RecursionError is a RuntimeError; bad input raises ValueError.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: JSON nested too deep")) as info:
+            linalg.read_matrix(path)
+        assert type(info.value) is ValueError
