@@ -57,9 +57,9 @@ def rational_notes(values: Sequence[float]) -> list[str]:
 
     A numpy screen passes over the denominators q = 2..64 on arrays as long
     as ``values`` and flags x when ``|x - rint(x*q)/q|`` is at most
-    ``2 * RATIONAL_TOL``. Only flagged values, and values that are not
-    finite or lie outside [-1, 1], go through :func:`rational_note`; every
-    other value gets "".
+    ``2 * RATIONAL_TOL``. Only flagged values that do not lie that close to
+    an integer, and values that are not finite or lie outside [-1, 1], go
+    through :func:`rational_note`; every other value gets "".
 
     The screen misses no note. Distinct fractions with denominators up to
     64 lie at least 1/(64*63) = 1/4032 apart, so the fraction that
@@ -68,12 +68,21 @@ def rational_notes(values: Sequence[float]) -> list[str]:
     ``rint(x*q)/q`` is the float nearest p/q, the same float as
     ``float(Fraction(p, q))``, and the screen measures the very difference
     that :func:`rational_note` compares with ``RATIONAL_TOL``.
+
+    Nor does dropping the values next to an integer. The screen flags every
+    x in [-1, 1] within ``2 * RATIONAL_TOL`` of an integer m (``x - m`` is
+    exact there), since m = mq/q. Every fraction with a denominator up to 64
+    other than m lies at least 1/64 from m, so the nearest one to x is m
+    itself, whose denominator is 1, and :func:`rational_note` returns "".
     """
     x = np.asarray(values, dtype=float)
-    exact = ~(np.abs(x) <= 1.0)
-    x = np.where(exact, 0.0, x)
+    inside = np.abs(x) <= 1.0
+    x = np.where(inside, x, 0.0)
+    exact = np.zeros(x.shape, dtype=bool)
     for q in range(2, RATIONAL_MAX_DENOMINATOR + 1):
         exact |= np.abs(x - np.rint(x * q) / q) <= 2 * RATIONAL_TOL
+    exact &= np.abs(x - np.rint(x)) > 2 * RATIONAL_TOL
+    exact |= ~inside
     notes = [""] * len(x)
     for i in np.flatnonzero(exact).tolist():
         notes[i] = rational_note(values[i])

@@ -15,6 +15,7 @@ value; a :class:`SuperposedState` defines only equality and is unhashable.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -115,9 +116,9 @@ class FockState(NamedTuple):
 
     def __str__(self) -> str:
         """The text ket, e.g. ``|H0^2 V0 V3>``, or ``|vac;n>`` for the vacuum."""
-        pieces = [_ket_piece(port, ch, cv, True)
-                  for port, (ch, cv) in enumerate(zip(self.h, self.v)) if ch or cv]
-        return f"|{' '.join(pieces)}>" if pieces else f"|vac;{self.n_ports}>"
+        ports = [(port, ch, cv) for port, (ch, cv) in enumerate(zip(self.h, self.v)) if ch or cv]
+        ports.append((self.n_ports, 0, 0))
+        return "".join(_ket_piece(*port, not i) for i, port in enumerate(ports))[:-1]
 
 
 def probabilities(amplitudes: Sequence[complex] | np.ndarray) -> np.ndarray:
@@ -129,48 +130,69 @@ def probabilities(amplitudes: Sequence[complex] | np.ndarray) -> np.ndarray:
 
 
 def _ket_piece(port: int, ch: int, cv: int, first: bool) -> str:
-    """Ket text of one occupied port; all but the first of a ket start with a space."""
+    """Ket text of one occupied port, from ``|`` if it opens the ket and else from a space;
+    port n with no photons ends a ket of n ports and its line, as ``|vac;n>`` if it opens it."""
+    if not (ch or cv):
+        return f"|vac;{port}>\n" if first else ">\n"
     text = " ".join(f"{pol}{port}" + (f"^{c}" if c > 1 else "")
                     for pol, c in (("H", ch), ("V", cv)) if c)
-    return text if first else " " + text
+    return ("|" if first else " ") + text
 
 
 # Rows per block when a whole table is written as text.
 _BLOCK = 1024
 
 
-def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool], str]
-                ) -> Iterator[tuple[list[str], list[int]]]:
-    """Per ``_BLOCK`` rows: the texts of the occupied ports, row-major, and their count per row.
+def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool], str],
+                tails: np.ndarray) -> Iterator[np.ndarray]:
+    """Per ``_BLOCK`` rows: the texts of each row's occupied ports, its close and its
+    row of ``tails``, row-major, as one object array.
 
-    ``piece(port, H count, V count, first)`` is the text of one port, ``first``
-    if it opens its row; it is called once per distinct argument tuple. Numpy
-    keys the ports a block at a time, so Python takes no step per port.
-    """
+    ``piece(port, H count, V count, first)`` is the text of one port, ``first`` if it
+    opens its row, and ``piece(n, 0, 0, first)`` closes a row; it is called once per
+    distinct argument tuple. Numpy keys the ports a block at a time and gathers their
+    texts, so Python takes no step per port or row."""
     # A port's key is ((port * k + H count) * k + V count) * 2, plus 1 if it
-    # opens its row; counts too large for that are keyed by rank.
+    # opens its row; the close is port n with no photons, and a tail is keyed
+    # close + 3, from the 1 its column holds. Counts too large are keyed by rank.
     counts = range(int(table.max(initial=0)) + 1)  # the count of each rank
-    if 2 * n * len(counts) ** 2 >= 2**63:
+    if 2 * n * len(counts) ** 2 + 3 >= 2**63:
         counts = np.unique(np.append(table, 0))
         table = np.searchsorted(counts, table)
-    k, texts = len(counts), {}
-    weights, port_keys = np.array([2 * k, 2]), np.arange(n, dtype=np.int64) * (2 * k * k)
-    for start in range(0, len(table), _BLOCK):
+    k = len(counts)
+    close, weights = 2 * n * k * k, np.array([2 * k, 2])
+    port_keys = np.array([*range(0, close, 2 * k * k), close - 1] + [close + 1] * tails.shape[1])
+
+    def keyed(start: int) -> np.ndarray:
         occ = table[start:start + _BLOCK]
-        key = weights @ occ.reshape(len(occ), 2, n)  # 2 * (H * k + V) by (row, port)
-        flat = key.ravel().nonzero()[0]  # the occupied ports, row-major
+        key = np.ones((len(occ), len(port_keys)), dtype=np.int64)
+        np.matmul(weights, occ.reshape(len(occ), 2, n), out=key[:, :n])  # 2 * (H * k + V)
+        flat = key.ravel().nonzero()[0]  # the occupied ports, closes and tails, row-major
         key += port_keys
         key = key.ravel()[flat]
-        rows = flat // n
-        key[1:] += rows[1:] != rows[:-1]
-        keys = key.tolist()
-        if keys:
-            keys[0] += 1  # a block starts at a row
-        for new in set(keys).difference(texts):
-            port, rest = divmod(new >> 1, k * k)
-            ch, cv = divmod(rest, k)
-            texts[new] = piece(port, counts[ch], counts[cv], bool(new & 1))
-        yield list(map(texts.__getitem__, keys)), np.bincount(rows, minlength=len(occ)).tolist()
+        key[1:] += key[:-1] >= close  # a row opens after a close or a tail
+        key[0] += 1  # and at the start of a block
+        return key
+
+    # Texts are held by key, or by rank where keys could outnumber the table's entries.
+    starts, held = range(0, len(table), _BLOCK), None
+    if close + 4 > table.size + _BLOCK:
+        held = np.unique(np.concatenate([*map(keyed, starts), [close + 3]]))
+    texts = np.empty(close + 4 if held is None else len(held), dtype=object)
+    have = np.zeros(len(texts), dtype=bool)
+    have[-1] = True  # the tails' slot, filled per block
+    for start in starts:
+        key = keyed(start)
+        slot = key if held is None else held.searchsorted(key)
+        new = slot[~have[slot]]
+        distinct = list(set(new.tolist()))
+        for at, key_ in zip(distinct, distinct if held is None else held[distinct].tolist()):
+            port, rest = divmod(key_ >> 1, k * k)
+            texts[at] = piece(port, counts[rest // k], counts[rest % k], bool(key_ & 1))
+        have[new] = True
+        pieces = texts[slot]
+        pieces[key > close + 1] = tails[start:start + _BLOCK].ravel()
+        yield pieces
 
 
 def row_keys(table: np.ndarray) -> list[bytes]:
@@ -220,6 +242,28 @@ class Product:
             rows[:, :, width:] = table[None, :, :]
             occ, amps = rows.reshape(prod.size, -1), prod.ravel()
         return occ, amps
+
+
+@functools.lru_cache(maxsize=16)
+def _term_texts(depth: int, n_ports: int) -> tuple[Callable[..., str], str, int, str]:
+    """The :func:`_occ_pieces` piece, re/im separator, length of the text before the first
+    term, and last piece of a JSON term list at nesting ``depth``, cached with the port count."""
+    i0, i1, i2, i3, i4, i5 = ("\n" + "  " * (depth + k) for k in range(6))
+    term_end = f"{i2}]{i1}}}"
+    head = f'{term_end},{i1}{{{i2}"state": {{{i3}"nPorts": {n_ports},{i3}"occ": '
+    amp_head = f'{i2}}},{i2}"amp": [{i3}'
+    opens, closes = (",", f"{head}["), (f"{i3}]{amp_head}", f"{head}[]{amp_head}")
+    at, end = f'{i4}{{{i5}"port": ', f"{i4}}}"
+    count_h, count_v = (f',{i5}"pol": "{pol}",{i5}"count": ' for pol in "HV")
+
+    def piece(port: int, ch: int, cv: int, first: bool) -> str:
+        if not (ch or cv):  # the row's occ close
+            return closes[first]
+        h = f"{at}{port}{count_h}{ch}{end}" if ch else ""
+        v = f"{',' if ch else ''}{at}{port}{count_v}{cv}{end}" if cv else ""
+        return f"{opens[first]}{h}{v}"
+
+    return piece, f",{i3}", len(term_end) + 1, f"{term_end}{i0}]"
 
 
 class SuperposedState:
@@ -314,12 +358,11 @@ class SuperposedState:
 
     def kets(self) -> list[str]:
         """The ``str`` of each term's :class:`FockState`, in term order."""
-        vacuum, kets = f"|vac;{self.n_ports}>", []
-        for pieces, widths in _occ_pieces(self.occupations, self.n_ports, _ket_piece):
-            end = 0
-            for width in widths:
-                kets.append(f"|{''.join(pieces[end:end + width])}>" if width else vacuum)
-                end += width
+        kets: list[str] = []
+        no_tails = np.empty((len(self), 0), dtype=object)
+        for pieces in _occ_pieces(self.occupations, self.n_ports, _ket_piece, no_tails):
+            kets += "".join(pieces.tolist()).split("\n")
+            kets.pop()  # after the block's last line
         return kets
 
     def norm_sq(self) -> float:
@@ -356,30 +399,16 @@ class SuperposedState:
         """
         if not len(self):
             return ["[]"]
-        i0, i1, i2, i3, i4, i5 = ("\n" + "  " * (depth + k) for k in range(6))
-        term_end = f"{i2}]{i1}}}"
-        state_head = f'{i1}{{{i2}"state": {{{i3}"nPorts": {self.n_ports},{i3}"occ": '
-        amp_head = f'{i2}}},{i2}"amp": [{i3}'
-        head, sep = f"{term_end},{state_head}", f",{i3}"
-        closes = (f"[]{amp_head}", f"{i3}]{amp_head}")  # by whether the row has photons
-
-        def piece(port: int, ch: int, cv: int, first: bool) -> str:
-            mode = f'{i4}{{{i5}"port": {port},{i5}"pol": '
-            text = f'{mode}"H",{i5}"count": {ch}{i4}}}' if ch else ""
-            if cv:
-                text += f'{"," if ch else ""}{mode}"V",{i5}"count": {cv}{i4}}}'
-            return ("[" if first else ",") + text
-
-        out = ["[" + state_head]
-        parts = iter(jsontext.float_reprs(self.amplitudes.view(np.float64)))
-        for entries, widths in _occ_pieces(self.occupations, self.n_ports, piece):
-            end = 0
-            # Per row: its entries, its occ close, re, sep and im, and the next row's head.
-            for width, real, imag in zip(widths, parts, parts):
-                out += entries[end:end + width]
-                out += (closes[width > 0], real, sep, imag, head)
-                end += width
-        out[-1] = f"{term_end}{i0}]"
+        piece, sep, cut, last = _term_texts(depth, self.n_ports)
+        # Per row: its entries, from the head to the occ close, then re, sep and im.
+        tails = np.empty((len(self), 3), dtype=object)
+        tails[:, ::2] = jsontext.float_reprs(self.amplitudes.view(np.float64)).reshape(-1, 2)
+        tails[:, 1] = sep
+        out: list[str] = []
+        for pieces in _occ_pieces(self.occupations, self.n_ports, piece, tails):
+            out += pieces.tolist()
+        out[0] = "[" + out[0][cut:]  # the first head opens the list
+        out.append(last)
         return out
 
     @classmethod

@@ -47,12 +47,13 @@ def _write(obj, depth: int, out: list[str]) -> None:
     out.append(pad[:-2] + closing)
 
 
-def float_reprs(x: np.ndarray) -> list[str]:
-    """The ``repr`` of each float64 of ``x`` in C order, once per bit pattern, so -0.0 stays."""
+def float_reprs(x: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each float64 of ``x`` in C order, as an object array, formatted once
+    per bit pattern, so -0.0 stays."""
     bits = np.ascontiguousarray(x, dtype=np.float64).view(np.int64).ravel()
     keys, index = np.unique(bits, return_inverse=True)
     texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-    return texts[index].tolist()
+    return texts[index]
 
 
 def expand(frame):

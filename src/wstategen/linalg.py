@@ -203,7 +203,7 @@ def _entries_chunks(a: np.ndarray, depth: int) -> list[str]:
         raise ValueError("matrix contains non-finite entries")
     i0, i1, i2 = ("\n" + "  " * (depth + k) for k in range(3))
     head, sep, tail = f"{i1}[{i2}", f",{i2}", f"{i1}],"
-    parts = iter(jsontext.float_reprs(np.ascontiguousarray(a).view(np.float64)))
+    parts = iter(jsontext.float_reprs(np.ascontiguousarray(a).view(np.float64)).tolist())
     out = ["["]
     for re, im in zip(parts, parts):
         out += (head, re, sep, im, tail)

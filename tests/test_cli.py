@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wstategen
-from wstategen import linalg, schemes
+from wstategen import cli, linalg, schemes
 from wstategen.cli import RATIONAL_TOL, main, rational_note, rational_notes
 from wstategen.errors import NumericalError
 from wstategen.evolve import evolve
@@ -372,6 +372,19 @@ class TestRationalNotes:
                              -1.0, -0.5, -1 / 3 + 1e-12, -1 / 7 - 3e-12, 1.5, 7 / 3, 1e15 + 0.5,
                              -65 / 64, 1e300, -1e300, np.finfo(float).max])
         assert rational_notes([]) == []
+
+    def test_values_next_to_an_integer_skip_the_exact_test(self, monkeypatch):
+        values = [1e-13, -1e-13, 1 - 1e-13, 2 / 27, 17 / 64]
+        expected = [rational_note(x) for x in values]
+        tested = []
+
+        def counting(x):
+            tested.append(x)
+            return rational_note(x)
+
+        monkeypatch.setattr(cli, "rational_note", counting)
+        assert rational_notes(values) == expected == ["", "", "", " (= 2/27)", " (= 17/64)"]
+        assert tested == [2 / 27, 17 / 64]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_raises_as_the_exact_note(self, bad):

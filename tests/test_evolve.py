@@ -557,7 +557,7 @@ def _permuted(state: FockState, perm: np.ndarray) -> FockState:
 class TestInvariants:
     """Laws of linear optics that hold past the oracle's 4 photons and 4 ports."""
 
-    @pytest.mark.parametrize("n, terms", [(3, 4), (4, 10), (5, 26), (6, 68)])
+    @pytest.mark.parametrize("n, terms", [(3, 4), (4, 10), (5, 26), (6, 68), (7, 246), (8, 810)])
     def test_dft_suppression_law(self, n, terms):
         # One photon per port through DFT_n: every output has sum(p * h_p) = 0 (mod n).
         out = evolve(dft_multiport(n), FockState(n, (1,) * n, (0,) * n))
@@ -579,6 +579,28 @@ class TestInvariants:
             expected = SuperposedState({_permuted(s, p_perm): a for s, a in evolve(u, state)}, n)
             moved = _permuted(state, np.argsort(q_perm))
             assert evolve(p @ u @ q, moved).allclose(expected, tol=1e-12), state
+
+    def test_port_permutation_covariance_at_n8(self):
+        # The same law at n = 8 on a seeded bunched input of 10 H photons, whose
+        # 19,448 output terms come from the photon-by-photon sector.
+        n = 8
+        rng = np.random.default_rng(908)
+        u = random_unitary(n, rng)
+        p_perm, q_perm = rng.permutation(n), rng.permutation(n)
+        p, q = np.zeros((n, n)), np.zeros((n, n))
+        p[p_perm, np.arange(n)] = q[q_perm, np.arange(n)] = 1
+        h = np.bincount(rng.integers(n, size=10), minlength=n)
+        assert h.max() >= 3
+        state = FockState(n, tuple(h.tolist()), (0,) * n)
+        out = evolve(u, state)
+        got = evolve(p @ u @ q, _permuted(state, np.argsort(q_perm)))
+        # The photons of each output row moved to ports p_perm, rows back in tuple order.
+        moved = np.empty_like(out.occupations)
+        moved[:, np.concatenate([p_perm, p_perm + n])] = out.occupations
+        order = np.lexsort(moved.T[::-1])
+        assert len(out) == 19_448
+        assert np.array_equal(got.occupations, moved[order])
+        assert np.max(np.abs(got.amplitudes - out.amplitudes[order])) <= 1e-12
 
     @pytest.mark.parametrize("n, h, v, terms", [
         (3, (1, 1, 0), (0, 0, 1), 18),  # a 2-photon sector, one Gray-code permanent per pattern

@@ -12,6 +12,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,23 @@ def test_state_text_matches_indent_encoder(state):
     assert state.to_json_obj() == reference
 
 
+def test_text_lookup_holds_only_the_table_keys():
+    """One row over 2,000 ports with H counts 1..2,000: a lookup of every port and count
+    pair would take 2 * 2000 * 2001**2 slots, so it must hold only the keys in the table."""
+    n = 2000
+    row = FockState(n, tuple(range(1, n + 1)), (0,) * n)
+    state = SuperposedState({row: 1.0}, n)
+    tracemalloc.start()
+    try:
+        text, kets = jsontext.dumps(state.json_frame()), state.kets()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert text == _reference_text(_state_tree(state))
+    assert kets == [str(row)]
+
+
 def _written_floats(text: str) -> set[str]:
     return {line.strip().rstrip(",") for line in text.splitlines()}
 
@@ -211,7 +229,7 @@ def _float_arrays() -> list[np.ndarray]:
 
 @pytest.mark.parametrize("x", _float_arrays(), ids=lambda x: f"{x.size}parts")
 def test_float_reprs_match_repr(x):
-    assert jsontext.float_reprs(x) == list(map(repr, x.ravel().tolist()))
+    assert jsontext.float_reprs(x).tolist() == list(map(repr, x.ravel().tolist()))
 
 
 def _number_lines(text: str) -> list[str]:
