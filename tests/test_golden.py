@@ -69,6 +69,14 @@ EVOLVE_DESIGN6_INPUT = {
     ],
 }
 
+# A 64-entry target from ``math`` alone, cos(k) + i sin(2k) scaled to unit norm
+# (``fsum`` of products, the same bits on every Python): nearly all of its
+# Householder coupler's 8,192 float parts are distinct.
+DESIGN64_RAW = [complex(math.cos(k), math.sin(2 * k)) for k in range(64)]
+DESIGN64_NORM = math.sqrt(math.fsum(x * x for z in DESIGN64_RAW for x in (z.real, z.imag)))
+DESIGN64_TARGET = np.array([complex(z.real / DESIGN64_NORM, z.imag / DESIGN64_NORM)
+                            for z in DESIGN64_RAW])
+
 # One H photon at port 3 and one V photon at port 10 of DFT_12: 12 x 12 = 144
 # terms whose kets hold two-digit ports.
 EVOLVE_DFT12_INPUT = {
@@ -161,6 +169,9 @@ def _cases() -> dict:
     # DFT_43 from port 1: glibc 2.36's pow(x, 2) rounds 3 of its 43 port
     # probabilities away from the exact square.
     cases["path-w-n43-port1"] = lambda: run_path_w(43, 1).to_json()
+    # The benchmark's path-wide large op: 65,536 matrix entries and 256 terms.
+    cases["path-w-n256-port85"] = lambda: run_path_w(256, 85).to_json()
+    cases["designed-path-n64"] = lambda: run_designed_path(DESIGN64_TARGET).to_json()
     for fmt in ("csv", "table"):
         cases[f"cli-evolve-dft4-bunched-{fmt}"] = lambda f=fmt: _evolve_text(
             f, 4, EVOLVE_DFT4_INPUT)
