@@ -143,6 +143,12 @@ def _ket_piece(port: int, ch: int, cv: int, first: bool) -> str:
 _BLOCK = 1024
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a non-empty 1-D ``x``; ``np.unique`` would import numpy.ma."""
+    x = np.sort(x)
+    return x[np.append(True, x[1:] != x[:-1])]
+
+
 def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool], str],
                 tails: np.ndarray) -> Iterator[np.ndarray]:
     """Per ``_BLOCK`` rows: the texts of each row's occupied ports, its close and its
@@ -157,7 +163,7 @@ def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool]
     # close + 3, from the 1 its column holds. Counts too large are keyed by rank.
     counts = range(int(table.max(initial=0)) + 1)  # the count of each rank
     if 2 * n * len(counts) ** 2 + 3 >= 2**63:
-        counts = np.unique(np.append(table, 0))
+        counts = _distinct(np.append(table, 0))
         table = np.searchsorted(counts, table)
     k = len(counts)
     close, weights = 2 * n * k * k, np.array([2 * k, 2])
@@ -177,7 +183,7 @@ def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool]
     # Texts are held by key, or by rank where keys could outnumber the table's entries.
     starts, held = range(0, len(table), _BLOCK), None
     if close + 4 > table.size + _BLOCK:
-        held = np.unique(np.concatenate([*map(keyed, starts), [close + 3]]))
+        held = _distinct(np.concatenate([*map(keyed, starts), [close + 3]]))
     texts = np.empty(close + 4 if held is None else len(held), dtype=object)
     have = np.zeros(len(texts), dtype=bool)
     have[-1] = True  # the tails' slot, filled per block
@@ -196,9 +202,15 @@ def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool]
 
 
 def row_keys(table: np.ndarray) -> list[bytes]:
-    """The bytes of each row of an occupation table, as int64: equal rows, equal keys."""
-    table = np.ascontiguousarray(table, dtype=np.int64)
-    return table.view(np.dtype((np.void, table.shape[1] * 8))).ravel().tolist()
+    """The bytes of each row of an occupation table, as int8 where every count of the row
+    fits and else as int64: equal rows get equal keys, and keys of two widths differ in length."""
+    table = np.asarray(table)
+    narrow = np.ascontiguousarray(table, dtype=np.int8)  # a count that does not fit wraps
+    keys = narrow.view(f"V{table.shape[1]}").ravel().tolist()
+    if table.dtype != np.int8:  # an int8 table fits by its dtype
+        for i in np.flatnonzero((narrow != table).any(axis=1)).tolist():
+            keys[i] = table[i].astype(np.int64).tobytes()
+    return keys
 
 
 def fock_states(n_ports: int, table: np.ndarray) -> list[FockState]:
@@ -340,7 +352,7 @@ class SuperposedState:
         return zip(fock_states(self.n_ports, self.occupations), self.amplitudes.tolist())
 
     def row_index(self) -> dict[bytes, int]:
-        """Row number of each occupation row, by the row's bytes; built on the first call."""
+        """Row number of each occupation row, by its :func:`row_keys` key; built on the first call."""
         if self._index is None:
             self._index = {key: i for i, key in enumerate(row_keys(self.occupations))}
         return self._index
@@ -350,7 +362,7 @@ class SuperposedState:
         if n_ports != self.n_ports:
             return 0.0 + 0.0j
         try:
-            key = np.array(h + v, dtype=np.int64).tobytes()
+            (key,) = row_keys(np.array([h + v], dtype=np.int64))
         except OverflowError:  # no term holds 2**63 photons in a mode
             return 0.0 + 0.0j
         i = self.row_index().get(key)

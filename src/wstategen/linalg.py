@@ -202,13 +202,11 @@ def _entries_chunks(a: np.ndarray, depth: int) -> list[str]:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     i0, i1, i2 = ("\n" + "  " * (depth + k) for k in range(3))
-    head, sep, tail = f"{i1}[{i2}", f",{i2}", f"{i1}],"
-    parts = iter(jsontext.float_reprs(np.ascontiguousarray(a).view(np.float64)).tolist())
-    out = ["["]
-    for re, im in zip(parts, parts):
-        out += (head, re, sep, im, tail)
-    out[-1] = f"{i1}]{i0}]"
-    return out
+    # Per entry: re, separator, im and the text up to the next re, or the list's close.
+    pieces = np.empty((a.size, 4), dtype=object)
+    pieces[:, ::2] = jsontext.float_reprs(np.ascontiguousarray(a).view(np.float64)).reshape(-1, 2)
+    pieces[:, 1], pieces[:, 3], pieces[-1, 3] = f",{i2}", f"{i1}],{i1}[{i2}", f"{i1}]{i0}]"
+    return [f"[{i1}[{i2}", *pieces.ravel().tolist()]
 
 
 def complex_pairs(pairs: list, what: str) -> np.ndarray:

@@ -65,6 +65,28 @@ def test_module_run_as_script():
         assert "successProbability,0.111111111111" in done.stdout.splitlines(), module
 
 
+def test_bunched_csv_run_does_not_import_numpy_ma(tmp_path):
+    """16 H photons at port 0 of DFT_2 write their kets from a lookup held by rank, whose
+    sorted distinct keys numpy 2's ``np.unique`` would take by a hash path that imports
+    ``numpy.ma`` (19-32 ms) on its first call in a process."""
+    (tmp_path / "h16.json").write_text(
+        '{"nPorts": 2, "occ": [{"port": 0, "pol": "H", "count": 16}]}')
+    script = (
+        "import sys\n"
+        "from wstategen.cli import main\n"
+        "assert main(['multiport', '--n', '2', '--out', 'd2.json']) == 0\n"
+        "assert main(['evolve', '--matrix', 'd2.json', '--input', 'h16.json',"
+        " '--format', 'csv']) == 0\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wstategen.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert sum(line.startswith("|H") for line in done.stdout.splitlines()) == 17
+    assert done.stderr == "False\n"
+
+
 class TestPathW:
     def test_json_report(self):
         code, text = run_cli("path-w", "--n", "3", "--format", "json")

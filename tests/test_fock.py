@@ -15,11 +15,13 @@ from wstategen.fock import (
     SuperposedState,
     probabilities,
     product_input,
+    row_keys,
     single_photon_state,
     target_from_coefficients,
     w_state_path,
     w_state_polarization,
 )
+from wstategen.postselect import fidelity
 
 H, V = Polarization.H, Polarization.V
 
@@ -408,6 +410,47 @@ class TestSuperposedState:
         assert repr(state) == ("SuperposedState((0-0.8j)|H2^2 V2> + (0.3333+0.25j)|H0 H1 V1>"
                                " + (0.6+0j)|H0^2 V0>)")
         assert repr(SuperposedState([], 2, require_normalized=False)) == "SuperposedState(0)"
+
+
+def _householder_4() -> np.ndarray:
+    """A 4-port coupler from a fixed target, normalized by ``math`` alone."""
+    raw = [1.0, 0.5 + 1.0j, -0.75 + 0.25j, 0.3 - 0.6j]
+    norm = math.sqrt(math.fsum(x * x for z in raw for x in (z.real, z.imag)))
+    return linalg.complete_unitary_from_column(np.array([z / norm for z in raw]))
+
+
+class TestRowKeys:
+    """A row is keyed by its int8 bytes where every count fits, else by its int64 bytes."""
+
+    def test_int8_and_int64_tables_give_equal_keys(self):
+        out = evolve(linalg.dft_multiport(3), FockState(3, (5, 0, 2), (0, 3, 0)))
+        assert out.occupations.dtype == np.int8
+        wide = out.occupations.astype(np.int64)
+        assert row_keys(out.occupations) == row_keys(wide) == row_keys(wide.astype(np.uint16))
+        assert len(set(row_keys(wide))) == len(out)
+
+    @pytest.mark.parametrize("count", [127, 128, 255, 2**40])
+    def test_amplitude_finds_rows_past_int8(self, count):
+        """The mapping form keeps an int64 table; a count of 256 more wraps to the same int8
+        bytes, so it must not find the row, and 2**40 and 0 must not share a key."""
+        rows = {FockState(2, (count, 0), (0, 1)): 0.6, FockState(2, (0, count), (0, 1)): 0.8j}
+        state = SuperposedState(rows, 2)
+        assert state.occupations.dtype == np.int64
+        for row, amp in rows.items():
+            assert state.amplitude(row) == amp
+        assert state.amplitude(FockState(2, (count, 256), (0, 1))) == 0j
+        assert state.amplitude(FockState(2, (count + 256, 0), (0, 1))) == 0j
+        assert state.amplitude(FockState(2, (count, 0), (256, 1))) == 0j
+
+    def test_fidelity_of_int64_copies(self):
+        """Mapping-form (int64) copies of ``evolve`` outputs (int8) meet the originals'
+        rows: the fidelity keeps the bits it had with int64 keys on both sides."""
+        inp = FockState(4, (2, 1, 0, 0), (0, 0, 1, 0))
+        a, b = evolve(linalg.dft_multiport(4), inp), evolve(_householder_4(), inp)
+        a64, b64 = SuperposedState(dict(a), 4), SuperposedState(dict(b), 4)
+        assert a.occupations.dtype == np.int8 and a64.occupations.dtype == np.int64
+        for state, target in ((a64, b), (a, b64), (a64, b64), (a, b), (b64, a)):
+            assert fidelity(state, target) == 0.00691618239178886
 
 
 class TestWStates:

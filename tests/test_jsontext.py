@@ -158,12 +158,17 @@ def _sized_matrices() -> list[np.ndarray]:
 
 def _named_matrices() -> dict[str, np.ndarray]:
     u = linalg.dft_multiport(6)
+    target = np.array([complex(math.cos(k), math.sin(2 * k)) for k in range(64)])
     return {
         "6x6-fortran": u.T,
         "3x3-strided": u[::-1, ::2][:3],  # neither C- nor Fortran-ordered
         "2x2-signed-zeros": np.array([[complex(0.0, -0.0), complex(-0.0, 0.0)],
                                       [complex(5e-324, 5e-324), 0.5]]),
         "1x1-equal-parts": np.array([[complex(0.25, 0.25)]]),
+        # The sizes the benchmark writes: many equal parts, and nearly all distinct.
+        "64x64-dft": linalg.dft_multiport(64),
+        "256x256-dft": linalg.dft_multiport(256),
+        "64x64-householder": linalg.complete_unitary_from_column(target / np.linalg.norm(target)),
     }
 
 
