@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import jsontext, linalg
-from .errors import NumericalError, int_text, integer, json_fields, size
+from .errors import CapacityError, NumericalError, int_text, integer, json_fields, size
 
 # Amplitudes below this are dropped on construction so destructive
 # interference leaves canonical term maps.
@@ -129,6 +129,11 @@ def probabilities(amplitudes: Sequence[complex] | np.ndarray) -> np.ndarray:
     return m * m
 
 
+def _add_up(values: np.ndarray) -> float | complex:
+    """``0.0 + values[0] + ...`` in order, as ``sum()`` did before 3.12 (``np.sum`` is pairwise)."""
+    return (0.0 + values).cumsum()[-1].item() if len(values) else 0.0
+
+
 def _ket_piece(port: int, ch: int, cv: int, first: bool) -> str:
     """Ket text of one occupied port, from ``|`` if it opens the ket and else from a space;
     port n with no photons ends a ket of n ports and its line, as ``|vac;n>`` if it opens it."""
@@ -160,12 +165,8 @@ def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool]
     texts, so Python takes no step per port or row."""
     # A port's key is ((port * k + H count) * k + V count) * 2, plus 1 if it
     # opens its row; the close is port n with no photons, and a tail is keyed
-    # close + 3, from the 1 its column holds. Counts too large are keyed by rank.
-    counts = range(int(table.max(initial=0)) + 1)  # the count of each rank
-    if 2 * n * len(counts) ** 2 + 3 >= 2**63:
-        counts = _distinct(np.append(table, 0))
-        table = np.searchsorted(counts, table)
-    k = len(counts)
+    # close + 3, from the 1 its column holds.
+    k = int(table.max(initial=0)) + 1
     close, weights = 2 * n * k * k, np.array([2 * k, 2])
     port_keys = np.array([*range(0, close, 2 * k * k), close - 1] + [close + 1] * tails.shape[1])
 
@@ -194,7 +195,7 @@ def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool]
         distinct = list(set(new.tolist()))
         for at, key_ in zip(distinct, distinct if held is None else held[distinct].tolist()):
             port, rest = divmod(key_ >> 1, k * k)
-            texts[at] = piece(port, counts[rest // k], counts[rest % k], bool(key_ & 1))
+            texts[at] = piece(port, rest // k, rest % k, bool(key_ & 1))
         have[new] = True
         pieces = texts[slot]
         pieces[key > close + 1] = tails[start:start + _BLOCK].ravel()
@@ -202,15 +203,8 @@ def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool]
 
 
 def row_keys(table: np.ndarray) -> list[bytes]:
-    """The bytes of each row of an occupation table, as int8 where every count of the row
-    fits and else as int64: equal rows get equal keys, and keys of two widths differ in length."""
-    table = np.asarray(table)
-    narrow = np.ascontiguousarray(table, dtype=np.int8)  # a count that does not fit wraps
-    keys = narrow.view(f"V{table.shape[1]}").ravel().tolist()
-    if table.dtype != np.int8:  # an int8 table fits by its dtype
-        for i in np.flatnonzero((narrow != table).any(axis=1)).tolist():
-            keys[i] = table[i].astype(np.int64).tobytes()
-    return keys
+    """The int8 bytes of each row of an occupation table: equal rows get equal keys."""
+    return np.ascontiguousarray(table, dtype=np.int8).view(f"V{table.shape[1]}").ravel().tolist()
 
 
 def fock_states(n_ports: int, table: np.ndarray) -> list[FockState]:
@@ -223,13 +217,14 @@ class Product:
     """Terms of a :class:`SuperposedState` as arrays: every combination of one row per factor.
 
     Each factor is an ``(occupations, amplitudes)`` pair: a 2-D table of
-    int rows, whose dtype the terms keep, and one complex amplitude per
-    row. A term puts one row of each factor side by side, first factor
-    major, so the factors' columns add up to the ``h`` then ``v`` columns
-    of a state, and multiplies their amplitudes by :func:`linalg.outer`.
-    The caller keeps each factor's rows distinct and ascending, so the
-    terms are too, and gives every term the same photon count per
-    polarization; neither is checked. The length is the number of terms.
+    int rows and one complex amplitude per row. A term puts one row of each
+    factor side by side, first factor major, so the factors' columns add up
+    to the ``h`` then ``v`` columns of a state, and multiplies their
+    amplitudes by :func:`linalg.outer`. The caller keeps each factor's rows
+    distinct and ascending, so the terms are too, and gives every term the
+    same photon count per polarization, at most ``linalg.PHOTON_CAP``;
+    neither is checked, but a table wider than int8 must hold counts from 0
+    to the cap. The length is the number of terms.
     """
 
     __slots__ = ("factors",)
@@ -282,18 +277,18 @@ class SuperposedState:
     """Finite map FockState -> complex amplitude over a fixed port count.
 
     All member states must share the port count and the photon totals per
-    polarization. A repeated state's amplitudes add up, and the amplitudes
+    polarization, each at most ``linalg.PHOTON_CAP`` (24; more raise
+    CapacityError). A repeated state's amplitudes add up, and the amplitudes
     and sums below ``AMPLITUDE_PRUNE_TOL`` are dropped.
     Normalization is enforced unless the owning operation passes
     ``require_normalized=False`` (explicitly-unnormalized intermediates).
 
     The terms are stored as two read-only arrays in ascending tuple order
-    of their states: ``occupations``, an int table with one row per term
-    (the ``h`` counts, then the ``v`` counts; int8 when built by ``evolve``,
-    whose photon cap keeps counts at most 24), and ``amplitudes``, a complex128
-    vector. Its kets and JSON term list are written from the table rows
-    by one per-port renderer; :class:`FockState` objects are built only
-    when the terms are iterated, listed or looked up.
+    of their states: ``occupations``, an int8 table with one row per term
+    (the ``h`` counts, then the ``v`` counts), and ``amplitudes``, a
+    complex128 vector. Its kets and JSON term list are written from the
+    table rows by one per-port renderer; :class:`FockState` objects are
+    built only when the terms are iterated, listed or looked up.
     """
 
     def __init__(self, terms: Mapping[FockState, complex] | Iterable[tuple[FockState, complex]]
@@ -305,23 +300,28 @@ class SuperposedState:
             for state, amp in items:
                 if state.n_ports != n_ports:
                     raise ValueError(f"term {state} has {state.n_ports} ports, expected {n_ports}")
-                amp = complex(amp)
-                if abs(amp) < AMPLITUDE_PRUNE_TOL:
-                    continue
-                sums[state] = sums.get(state, 0.0) + amp
-            # The sums that cancel are pruned below, so they hold no photon count.
-            if len({(sum(h), sum(v)) for (_, h, v), a in sums.items()
-                    if abs(a) >= AMPLITUDE_PRUNE_TOL}) > 1:
+                # A NaN amplitude stays, for the non-finite check below; sums that cancel go.
+                if not abs(amp := complex(amp)) < AMPLITUDE_PRUNE_TOL:
+                    sums[state] = sums.get(state, 0.0) + amp
+            states = sorted(s for s, a in sums.items() if not abs(a) < AMPLITUDE_PRUNE_TOL)
+            totals = {(sum(h), sum(v)) for _, h, v in states}
+            if len(totals) > 1:
                 raise ValueError("terms differ in photon count per polarization")
-            states = sorted(sums)
-            try:
-                occ = np.array([h + v for _, h, v in states], dtype=np.int64)
-            except OverflowError:
-                raise ValueError("photon counts must be below 2**63") from None
+            if (low := min((min(h + v) for _, h, v in states), default=0)) < 0:
+                raise ValueError(f"negative photon count {int_text(low)}")
+            for k_h, k_v in totals:  # the one pair, if any term is left
+                if max(k_h, k_v) > linalg.PHOTON_CAP:
+                    raise CapacityError(f"{int_text(k_h)} H and {int_text(k_v)} V photons: over "
+                                        f"the {linalg.PHOTON_CAP}-photon cap per polarization")
+            occ = np.array([h + v for _, h, v in states], dtype=np.int8)
             terms = Product((occ.reshape(len(states), 2 * n_ports), [sums[s] for s in states]))
         occ, amps = terms.arrays()
         if occ.shape[1] != 2 * n_ports:
             raise ValueError(f"term table has {occ.shape[1]} columns, expected {2 * n_ports}")
+        if occ.dtype != np.int8:  # checked before the cast, so no count wraps
+            if not 0 <= occ.min(initial=0) <= occ.max(initial=0) <= linalg.PHOTON_CAP:
+                raise ValueError(f"photon counts must be 0 to {linalg.PHOTON_CAP}")
+            occ = occ.astype(np.int8)
         amps = amps + 0.0  # to both parts, as Python's 0.0 + amp does
         # np.hypot has the bits of Python's abs(complex); np.abs does not.
         mag = np.hypot(amps.real, amps.imag)
@@ -359,13 +359,9 @@ class SuperposedState:
 
     def amplitude(self, state: FockState) -> complex:
         n_ports, h, v = state
-        if n_ports != self.n_ports:
+        if n_ports != self.n_ports or not all(0 <= c <= linalg.PHOTON_CAP for c in h + v):
             return 0.0 + 0.0j
-        try:
-            (key,) = row_keys(np.array([h + v], dtype=np.int64))
-        except OverflowError:  # no term holds 2**63 photons in a mode
-            return 0.0 + 0.0j
-        i = self.row_index().get(key)
+        i = self.row_index().get(row_keys(np.array([h + v], dtype=np.int8))[0])
         return 0.0 + 0.0j if i is None else self.amplitudes[i].item()
 
     def kets(self) -> list[str]:
@@ -378,7 +374,7 @@ class SuperposedState:
         return kets
 
     def norm_sq(self) -> float:
-        return sum(probabilities(self.amplitudes).tolist())
+        return _add_up(probabilities(self.amplitudes))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SuperposedState):

@@ -90,9 +90,7 @@ def postselect(state: SuperposedState, pattern: CoincidencePattern) -> PostSelec
     """
     mask = pattern.mask(state)
     kept = state.amplitudes[mask]
-    probability = 0.0
-    for p in fock.probabilities(kept).tolist():  # left to right; sum() compensates from 3.12
-        probability += p
+    probability = fock._add_up(fock.probabilities(kept))
     if probability < ZERO_PROBABILITY_TOL:
         conditional = SuperposedState({}, state.n_ports, require_normalized=False)
         return PostSelectionResult(conditional, 0.0, 0, 1.0)
@@ -128,9 +126,7 @@ def fidelity(state: SuperposedState, target: SuperposedState) -> float:
     rows = [(i, j) for i, key in enumerate(row_keys(state.occupations))
             if (j := index.get(key)) is not None]
     amps, target_amps = state.amplitudes.tolist(), target.amplitudes.tolist()
-    overlap = 0j
-    for i, j in rows:  # left to right, as for the probability in `postselect`
-        overlap += target_amps[j].conjugate() * amps[i]
+    overlap = fock._add_up(np.array([target_amps[j].conjugate() * amps[i] for i, j in rows]))
     (value,) = fock.probabilities([overlap]).tolist()
     if value > 1.0 + NORMALIZATION_TOL:
         raise NumericalError(f"fidelity {value!r} exceeds 1: a state is not normalized")

@@ -14,6 +14,7 @@ import numpy as np
 
 import wstategen as w
 from wstategen.cli import main
+from support import random_unitary
 
 H, V = w.Polarization.H, w.Polarization.V
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -21,12 +22,6 @@ OMEGA = cmath.exp(2j * math.pi / 3)
 
 def report(criterion, detail):
     print(f"[PASS] criterion {criterion}: {detail}")
-
-
-def random_unitary(n, rng):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def test_criterion_1_path_w_reproduction():

@@ -27,6 +27,7 @@ from wstategen.fock import (
 )
 from wstategen.linalg import dft_multiport, permanent, permanent_naive, verify_unitary
 from wstategen.schemes import run_polarization_w, scheme2_input
+from support import random_unitary
 from test_superposed_bits import _reference_sector
 
 evolve_module = importlib.import_module("wstategen.evolve")
@@ -34,12 +35,6 @@ linalg_module = importlib.import_module("wstategen.linalg")
 
 H, V = Polarization.H, Polarization.V
 OMEGA = cmath.exp(2j * math.pi / 3)
-
-
-def random_unitary(n, rng):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def all_fock_states(n_ports, max_photons):

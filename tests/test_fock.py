@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from wstategen import linalg
-from wstategen.errors import NumericalError
-from wstategen.evolve import evolve
+from wstategen.errors import CapacityError, NumericalError
+from wstategen.evolve import evolve, oracle_evolve
 from wstategen.fock import (
     FockState,
     Mode,
@@ -21,7 +21,8 @@ from wstategen.fock import (
     w_state_path,
     w_state_polarization,
 )
-from wstategen.postselect import fidelity
+from wstategen.postselect import CoincidencePattern, fidelity, postselect
+from wstategen.schemes import run_designed_path, run_path_w, run_polarization_w
 
 H, V = Polarization.H, Polarization.V
 
@@ -202,12 +203,16 @@ class TestKetTexts:
         _assert_kets_match_reference(state)
         assert state.kets()[vacuum_row] == "|vac;4>"
 
-    def test_counts_keyed_by_rank(self):
-        states = [FockState(2, (2**62, 5), (0, 2**40)), FockState(2, (5, 2**62), (2**40, 0))]
-        state = _table_state(states)
-        assert state.kets() == ["|H0^4611686018427387904 H1^5 V1^1099511627776>",
-                                "|H0^5 V0^1099511627776 H1^4611686018427387904>"]
+    def test_counts_up_to_the_cap(self):
+        state = _table_state([FockState(2, (24, 0), (0, 24)), FockState(2, (0, 24), (24, 0))])
+        assert state.kets() == ["|H0^24 V1^24>", "|V0^24 H1^24>"]
         _assert_kets_match_reference(state)
+
+    def test_fock_state_text_of_counts_past_the_cap(self):
+        """A :class:`FockState` takes any count, and its text writes it in full."""
+        state = FockState(2, (2**62, 5), (0, 2**40))
+        assert str(state) == "|H0^4611686018427387904 H1^5 V1^1099511627776>"
+        assert str(state) == _reference_ket(state)
         assert str(FockState(1, (2**70,), (1,))) == f"|H0^{2**70} V0>"
 
 
@@ -384,7 +389,7 @@ class TestSuperposedState:
 
     def test_counts_past_int64(self):
         huge = FockState(2, (2**70, 0), (0, 0))
-        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        with pytest.raises(CapacityError, match="over the 24-photon cap per polarization$"):
             SuperposedState({huge: 1.0}, 2)
         assert w_state_path(2).amplitude(huge) == 0j
 
@@ -419,38 +424,123 @@ def _householder_4() -> np.ndarray:
     return linalg.complete_unitary_from_column(np.array([z / norm for z in raw]))
 
 
+def _int64_copy(state: SuperposedState) -> SuperposedState:
+    """``state`` rebuilt from an int64 copy of its table, in the :class:`Product` form."""
+    table = state.occupations.astype(np.int64)
+    return SuperposedState(Product((table, state.amplitudes)), state.n_ports)
+
+
 class TestRowKeys:
-    """A row is keyed by its int8 bytes where every count fits, else by its int64 bytes."""
+    """A row is keyed by its int8 bytes, and every state holds an int8 table."""
 
     def test_int8_and_int64_tables_give_equal_keys(self):
         out = evolve(linalg.dft_multiport(3), FockState(3, (5, 0, 2), (0, 3, 0)))
         assert out.occupations.dtype == np.int8
-        wide = out.occupations.astype(np.int64)
-        assert row_keys(out.occupations) == row_keys(wide) == row_keys(wide.astype(np.uint16))
-        assert len(set(row_keys(wide))) == len(out)
-
-    @pytest.mark.parametrize("count", [127, 128, 255, 2**40])
-    def test_amplitude_finds_rows_past_int8(self, count):
-        """The mapping form keeps an int64 table; a count of 256 more wraps to the same int8
-        bytes, so it must not find the row, and 2**40 and 0 must not share a key."""
-        rows = {FockState(2, (count, 0), (0, 1)): 0.6, FockState(2, (0, count), (0, 1)): 0.8j}
-        state = SuperposedState(rows, 2)
-        assert state.occupations.dtype == np.int64
-        for row, amp in rows.items():
-            assert state.amplitude(row) == amp
-        assert state.amplitude(FockState(2, (count, 256), (0, 1))) == 0j
-        assert state.amplitude(FockState(2, (count + 256, 0), (0, 1))) == 0j
-        assert state.amplitude(FockState(2, (count, 0), (256, 1))) == 0j
+        for dtype in (np.int64, np.uint16):
+            wide = out.occupations.astype(dtype)
+            copy = SuperposedState(Product((wide, out.amplitudes)), 3)
+            assert copy.occupations.dtype == np.int8
+            assert row_keys(copy.occupations) == row_keys(out.occupations)
+            assert copy.row_index() == out.row_index()
+        assert len(set(row_keys(out.occupations))) == len(out)
 
     def test_fidelity_of_int64_copies(self):
-        """Mapping-form (int64) copies of ``evolve`` outputs (int8) meet the originals'
-        rows: the fidelity keeps the bits it had with int64 keys on both sides."""
+        """States built from int64 copies of ``evolve`` outputs hold int8 tables again, and
+        meet the originals' rows: the fidelity keeps its bits on both sides."""
         inp = FockState(4, (2, 1, 0, 0), (0, 0, 1, 0))
         a, b = evolve(linalg.dft_multiport(4), inp), evolve(_householder_4(), inp)
-        a64, b64 = SuperposedState(dict(a), 4), SuperposedState(dict(b), 4)
-        assert a.occupations.dtype == np.int8 and a64.occupations.dtype == np.int64
+        a64, b64 = _int64_copy(a), _int64_copy(b)
+        assert a64.occupations.dtype == b64.occupations.dtype == np.int8
+        assert a64 == a and b64 == b
         for state, target in ((a64, b), (a, b64), (a64, b64), (a, b), (b64, a)):
             assert fidelity(state, target) == 0.00691618239178886
+
+
+OVER_CAP = {"25 H": FockState(2, (25, 0), (0, 0)), "25 V": FockState(2, (0, 0), (0, 25)),
+            "25 H on two ports": FockState(2, (13, 12), (1, 0)),
+            "10**18 H": FockState(2, (10**18, 0), (0, 1))}
+
+
+class TestPhotonCap:
+    """Every state holds at most ``PHOTON_CAP`` (24) photons of each polarization."""
+
+    @pytest.mark.parametrize("name", OVER_CAP)
+    def test_mapping_form_refuses_more(self, name):
+        state = OVER_CAP[name]
+        with pytest.raises(CapacityError, match="over the 24-photon cap per polarization$"):
+            SuperposedState({state: 1.0}, 2)
+        with pytest.raises(CapacityError, match="over the 24-photon cap per polarization$"):
+            SuperposedState.from_json_obj({"nPorts": 2, "terms": [
+                {"state": state.to_json_obj(), "amp": [1.0, 0.0]}]})
+
+    def test_message_names_the_counts(self):
+        with pytest.raises(CapacityError) as info:
+            SuperposedState([(FockState(1, (10**18,), (3,)), 1.0)], 1)
+        assert str(info.value) == ("1000000000000000000 H and 3 V photons: "
+                                   "over the 24-photon cap per polarization")
+
+    def test_cap_holds_after_pruning(self):
+        """A term that cancels or is below the tolerance holds no photons."""
+        over, one = FockState(2, (25, 0), (0, 0)), FockState(2, (1, 0), (0, 0))
+        state = SuperposedState([(over, 0.5), (one, 1.0), (over, -0.5), (over, 1e-13)], 2)
+        assert list(state) == [(one, 1 + 0j)]
+
+    def test_mapping_form_refuses_negative_counts(self):
+        with pytest.raises(ValueError, match="^negative photon count -1$"):
+            SuperposedState({FockState(2, (-1, 2), (0, 0)): 1.0}, 2)
+        term = {"state": {"nPorts": 2, "occ": [{"port": 0, "pol": "H", "count": -1}]},
+                "amp": [1.0, 0.0]}
+        with pytest.raises(ValueError, match="negative photon count -1"):
+            SuperposedState.from_json_obj({"nPorts": 2, "terms": [term]})
+
+    def test_24_photons_of_each_polarization_fit(self):
+        row = FockState(2, (24, 0), (0, 24))
+        for state in (SuperposedState({row: 1.0}, 2), SuperposedState.from_json_obj(
+                {"nPorts": 2, "terms": [{"state": row.to_json_obj(), "amp": [0.0, 1.0]}]})):
+            assert state.occupations.dtype == np.int8
+            assert state.occupations.tolist() == [[24, 0, 0, 24]]
+            assert abs(state.amplitude(row)) == 1.0
+
+    @pytest.mark.parametrize("count", [25, 128, 256, 257, 2**40, -1])
+    def test_amplitude_is_zero_past_the_cap(self, count):
+        """257 would wrap to the int8 bytes of 1 and find that row."""
+        rows = {FockState(2, (1, 0), (0, 1)): 0.6, FockState(2, (0, 1), (0, 1)): 0.8j}
+        state = SuperposedState(rows, 2)
+        assert state.amplitude(FockState(2, (count, 0), (0, 1))) == 0j
+        assert state.amplitude(FockState(2, (1, 0), (0, count))) == 0j
+        assert state.amplitude(FockState(2, (1, 0), (0, 1))) == 0.6
+
+    @pytest.mark.parametrize("count", [25, 127, 256, 2**40, -1, -256])
+    def test_wide_product_table_out_of_range_refused(self, count):
+        """A count past int8 would wrap in the cast, so none reaches it."""
+        table = np.array([[1, 0, 0, 1], [0, 1, count, 0]], dtype=np.int64)
+        with pytest.raises(ValueError, match="^photon counts must be 0 to 24$"):
+            SuperposedState(Product((table, [0.6, 0.8])), 2)
+
+    def test_every_built_state_holds_int8(self):
+        u = linalg.dft_multiport(3)
+        inp = FockState(3, (2, 1, 0), (0, 0, 1))
+        out = evolve(u, inp)
+        states = {
+            "evolve": out,
+            "oracle": oracle_evolve(u, inp),
+            "conditional": postselect(out, CoincidencePattern.one_per_port()).conditional,
+            "empty conditional": postselect(
+                out, CoincidencePattern.port_counts({0: 5})).conditional,
+            "path W": w_state_path(5),
+            "polarization W": w_state_polarization(5),
+            "target": target_from_coefficients([0.6, 0.8j], "path"),
+            "mapping": SuperposedState(dict(out), 3),
+            "list": SuperposedState(list(out), 3),
+            "empty": SuperposedState({}, 3, require_normalized=False),
+            "json": SuperposedState.from_json_obj(out.to_json_obj()),
+            "int64 product": _int64_copy(out),
+        }
+        for report in (run_polarization_w(4), run_path_w(5, 2), run_designed_path([0.6, 0.8])):
+            states[report.scheme_kind] = report.output_state
+        assert states["empty conditional"].occupations.shape == (0, 6)
+        for name, state in states.items():
+            assert state.occupations.dtype == np.int8, name
 
 
 class TestWStates:

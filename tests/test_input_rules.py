@@ -34,6 +34,7 @@ from wstategen.schemes import (
     run_polarization_w,
     scheme2_input,
 )
+from support import assert_same_text, random_unitary
 
 H = Polarization.H
 
@@ -74,7 +75,7 @@ def test_port_count_below_two_raises(entry, n):
 
 @pytest.mark.parametrize("run, args", [(run_polarization_w, (3,)), (run_path_w, (4, 1))])
 def test_numpy_integer_reports_equal_int_reports(run, args):
-    assert run(*map(np.int64, args)).to_json() == run(*args).to_json()
+    assert_same_text(run(*map(np.int64, args)).to_json(), run(*args).to_json())
 
 
 def test_numpy_integer_sizes_stored_as_int():
@@ -166,12 +167,6 @@ def test_superposed_amplitude_refused():
             SuperposedState.from_json_obj(obj, require_normalized=False)
 
 
-def _random_unitary(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _signed_zero_and_subnormal(n: int) -> np.ndarray:
     m = np.full((n, n), complex(-0.0, -0.0))
     m.flat[::2] = complex(5e-324, -2.2250738585072014e-308)
@@ -180,7 +175,8 @@ def _signed_zero_and_subnormal(n: int) -> np.ndarray:
 
 
 MATRICES = {
-    **{f"random {n} seed {n * 7}": _random_unitary(n, n * 7) for n in (1, 2, 5, 9)},
+    **{f"random {n} seed {n * 7}": random_unitary(n, np.random.default_rng(n * 7))
+       for n in (1, 2, 5, 9)},
     **{f"dft {n}": linalg.dft_multiport(n) for n in (2, 3, 4, 7, 16)},
     "signed zero and subnormal": _signed_zero_and_subnormal(4),
 }

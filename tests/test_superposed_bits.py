@@ -31,6 +31,7 @@ from wstategen.fock import (
 )
 from wstategen.linalg import canonical_quarter, dft_multiport, permanent
 from wstategen.postselect import ZERO_PROBABILITY_TOL, CoincidencePattern, fidelity, postselect
+from support import random_unitary
 
 
 def _reference_terms(terms, n_ports: int) -> dict:
@@ -127,7 +128,7 @@ def _reference_fidelity(terms: dict, target: dict) -> float:
 
 
 def _reference_norm_sq(terms: dict) -> float:
-    return sum(map(_square, terms.values()))
+    return functools.reduce(operator.add, map(_square, terms.values()), 0.0)
 
 
 def _bits(z: complex) -> tuple[str, str]:
@@ -135,8 +136,8 @@ def _bits(z: complex) -> tuple[str, str]:
 
 
 def _hex(x: float) -> tuple[type, str]:
-    """The type and bits of a sum, which is the int 0 when it has no terms."""
-    return type(x), float.hex(float(x))
+    """The type and bits of a sum, which is the float 0.0 when it has no terms."""
+    return type(x), float.hex(x)
 
 
 def _assert_same(state: SuperposedState, terms: dict) -> None:
@@ -148,18 +149,10 @@ def _assert_same(state: SuperposedState, terms: dict) -> None:
     assert _hex(state.norm_sq()) == _hex(_reference_norm_sq(terms))
 
 
-def _haar(n: int, rng: np.random.Generator, real: bool = False) -> np.ndarray:
-    z = rng.normal(size=(n, n))
-    if not real:
-        z = z + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return (q * (np.diag(r) / np.abs(np.diag(r)))).astype(complex)
-
-
 def _couplers(n: int) -> dict:
     """Seeded Haar couplers, complex and real (whose amplitudes carry signed zeros), and DFT_n."""
     rng = np.random.default_rng(4100 + n)
-    couplers = {"haar": _haar(n, rng), "haar-real": _haar(n, rng, real=True)}
+    couplers = {"haar": random_unitary(n, rng), "haar-real": random_unitary(n, rng, real=True)}
     if n >= 2:
         couplers["dft"] = dft_multiport(n)
     if n == 4:
