@@ -223,8 +223,8 @@ class Product:
     amplitudes by :func:`linalg.outer`. The caller keeps each factor's rows
     distinct and ascending, so the terms are too, and gives every term the
     same photon count per polarization, at most ``linalg.PHOTON_CAP``;
-    neither is checked, but a table wider than int8 must hold counts from 0
-    to the cap. The length is the number of terms.
+    neither is checked. A table of another dtype than int8 is checked to
+    hold counts 0 to the cap, then cast. The length is the number of terms.
     """
 
     __slots__ = ("factors",)
