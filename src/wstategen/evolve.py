@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericalError, int_text
 from .fock import FockState, Product, SuperposedState
-from .linalg import PHOTON_CAP, UNITARITY_TOL, outer, permanent, square, verify_unitary
+from .linalg import UNITARITY_TOL, check_photon_cap, outer, permanent, square, verify_unitary
 
 # Exact-enumeration limits; see CapacityError.
 PATTERN_CAP = 10**6
@@ -146,10 +146,7 @@ def transition_amplitude(u: np.ndarray, input_state: FockState,
     u = _require_compatible(u, input_state, output_state)
     if input_state.photons_per_pol() != output_state.photons_per_pol():
         return 0.0 + 0.0j
-    # Before any index list or submatrix.
-    if (k := max(sum(input_state.h), sum(input_state.v))) > PHOTON_CAP:
-        raise CapacityError(f"{int_text(k)} photons of one polarization, "
-                            f"over the {PHOTON_CAP}-photon cap")
+    check_photon_cap(sum(input_state.h), sum(input_state.v))  # before any index list or submatrix
     ports = np.arange(input_state.n_ports)
 
     def sector(occ_in: tuple[int, ...], occ_out: tuple[int, ...]) -> complex:
@@ -164,9 +161,8 @@ def transition_amplitude(u: np.ndarray, input_state: FockState,
 def require_capacity(state: FockState) -> None:
     """CapacityError past ``PHOTON_CAP`` photons of one polarization, then ``PATTERN_CAP`` terms."""
     n, k_h, k_v = state.n_ports, sum(state.h), sum(state.v)
+    check_photon_cap(k_h, k_v, f" over {n} ports")
     photons = f"{int_text(k_h)} H and {int_text(k_v)} V photons over {n} ports"
-    if max(k_h, k_v) > PHOTON_CAP:
-        raise CapacityError(f"{photons}: over the {PHOTON_CAP}-photon cap per polarization")
     terms = math.comb(n + k_h - 1, k_h) * math.comb(n + k_v - 1, k_v)
     if terms > PATTERN_CAP:
         raise CapacityError(f"{photons} give {terms} output terms, "

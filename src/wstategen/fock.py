@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import jsontext, linalg
-from .errors import CapacityError, NumericalError, int_text, integer, json_fields, size
+from .errors import NumericalError, int_text, integer, json_fields, size
 
 # Amplitudes below this are dropped on construction so destructive
 # interference leaves canonical term maps.
@@ -148,12 +148,6 @@ def _ket_piece(port: int, ch: int, cv: int, first: bool) -> str:
 _BLOCK = 1024
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a non-empty 1-D ``x``; ``np.unique`` would import numpy.ma."""
-    x = np.sort(x)
-    return x[np.append(True, x[1:] != x[:-1])]
-
-
 def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool], str],
                 tails: np.ndarray) -> Iterator[np.ndarray]:
     """Per ``_BLOCK`` rows: the texts of each row's occupied ports, its close and its
@@ -163,14 +157,23 @@ def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool]
     opens its row, and ``piece(n, 0, 0, first)`` closes a row; it is called once per
     distinct argument tuple. Numpy keys the ports a block at a time and gathers their
     texts, so Python takes no step per port or row."""
-    # A port's key is ((port * k + H count) * k + V count) * 2, plus 1 if it
-    # opens its row; the close is port n with no photons, and a tail is keyed
-    # close + 3, from the 1 its column holds.
+    # A port's key is ((slot * k + H count) * k + V count) * 2, plus 1 if it opens
+    # its row, and decodes to ports[slot]; the close is port n with no photons, and a
+    # tail is keyed close + 3, from the 1 its column holds. Where keys of all n ports
+    # would outnumber the table's entries, only the ports holding a photon keep their
+    # columns: the lookup holds at most 2 * k**2 * (occupied ports) + 4 texts, k <= 25.
     k = int(table.max(initial=0)) + 1
+    ports = range(n + 1)
+    if 2 * n * k * k + 4 > table.size + _BLOCK:
+        occupied = table.reshape(len(table), 2, n).any(axis=(0, 1))
+        ports, table = [*occupied.nonzero()[0].tolist(), n], table[:, np.tile(occupied, 2)]
+    n = len(ports) - 1  # the ports the table holds: slot s is port ports[s]
     close, weights = 2 * n * k * k, np.array([2 * k, 2])
     port_keys = np.array([*range(0, close, 2 * k * k), close - 1] + [close + 1] * tails.shape[1])
-
-    def keyed(start: int) -> np.ndarray:
+    texts = np.empty(close + 4, dtype=object)
+    have = np.zeros(close + 4, dtype=bool)
+    have[-1] = True  # the tails' slot, filled per block
+    for start in range(0, len(table), _BLOCK):
         occ = table[start:start + _BLOCK]
         key = np.ones((len(occ), len(port_keys)), dtype=np.int64)
         np.matmul(weights, occ.reshape(len(occ), 2, n), out=key[:, :n])  # 2 * (H * k + V)
@@ -179,25 +182,12 @@ def _occ_pieces(table: np.ndarray, n: int, piece: Callable[[int, int, int, bool]
         key = key.ravel()[flat]
         key[1:] += key[:-1] >= close  # a row opens after a close or a tail
         key[0] += 1  # and at the start of a block
-        return key
-
-    # Texts are held by key, or by rank where keys could outnumber the table's entries.
-    starts, held = range(0, len(table), _BLOCK), None
-    if close + 4 > table.size + _BLOCK:
-        held = _distinct(np.concatenate([*map(keyed, starts), [close + 3]]))
-    texts = np.empty(close + 4 if held is None else len(held), dtype=object)
-    have = np.zeros(len(texts), dtype=bool)
-    have[-1] = True  # the tails' slot, filled per block
-    for start in starts:
-        key = keyed(start)
-        slot = key if held is None else held.searchsorted(key)
-        new = slot[~have[slot]]
-        distinct = list(set(new.tolist()))
-        for at, key_ in zip(distinct, distinct if held is None else held[distinct].tolist()):
-            port, rest = divmod(key_ >> 1, k * k)
-            texts[at] = piece(port, rest // k, rest % k, bool(key_ & 1))
+        new = key[~have[key]]
+        for key_ in set(new.tolist()):
+            slot, rest = divmod(key_ >> 1, k * k)
+            texts[key_] = piece(ports[slot], rest // k, rest % k, bool(key_ & 1))
         have[new] = True
-        pieces = texts[slot]
+        pieces = texts[key]
         pieces[key > close + 1] = tails[start:start + _BLOCK].ravel()
         yield pieces
 
@@ -310,9 +300,7 @@ class SuperposedState:
             if (low := min((min(h + v) for _, h, v in states), default=0)) < 0:
                 raise ValueError(f"negative photon count {int_text(low)}")
             for k_h, k_v in totals:  # the one pair, if any term is left
-                if max(k_h, k_v) > linalg.PHOTON_CAP:
-                    raise CapacityError(f"{int_text(k_h)} H and {int_text(k_v)} V photons: over "
-                                        f"the {linalg.PHOTON_CAP}-photon cap per polarization")
+                linalg.check_photon_cap(k_h, k_v)
             occ = np.array([h + v for _, h, v in states], dtype=np.int8)
             terms = Product((occ.reshape(len(states), 2 * n_ports), [sums[s] for s in states]))
         occ, amps = terms.arrays()

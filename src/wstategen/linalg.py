@@ -19,7 +19,7 @@ from itertools import chain, permutations
 import numpy as np
 
 from . import jsontext
-from .errors import CapacityError, json_fields, size
+from .errors import CapacityError, int_text, json_fields, size
 
 UNITARITY_TOL = 1e-10
 
@@ -28,6 +28,13 @@ PHOTON_CAP = 24
 
 # Gray-code steps per numpy pass in `permanent`; bounds its memory.
 _GRAY_CHUNK = 1 << 14
+
+
+def check_photon_cap(k_h: int, k_v: int, where: str = "") -> None:
+    """CapacityError past ``PHOTON_CAP`` photons of one polarization; ``where`` follows the totals."""
+    if max(k_h, k_v) > PHOTON_CAP:
+        raise CapacityError(f"{int_text(k_h)} H and {int_text(k_v)} V photons{where}: "
+                            f"over the {PHOTON_CAP}-photon cap per polarization")
 
 
 def dft_multiport(n: int) -> np.ndarray:

@@ -66,9 +66,9 @@ def test_module_run_as_script():
 
 
 def test_bunched_csv_run_does_not_import_numpy_ma(tmp_path):
-    """16 H photons at port 0 of DFT_2 write their kets from a lookup held by rank, whose
-    sorted distinct keys numpy 2's ``np.unique`` would take by a hash path that imports
-    ``numpy.ma`` (19-32 ms) on its first call in a process."""
+    """16 H photons at port 0 of DFT_2 write their kets from the occupied ports' key slots.
+    The writer takes no distinct keys: numpy 2's ``np.unique`` would take them by a hash
+    path that imports ``numpy.ma`` (19-32 ms) on its first call in a process."""
     (tmp_path / "h16.json").write_text(
         '{"nPorts": 2, "occ": [{"port": 0, "pol": "H", "count": 16}]}')
     script = (

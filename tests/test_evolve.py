@@ -36,6 +36,18 @@ linalg_module = importlib.import_module("wstategen.linalg")
 H, V = Polarization.H, Polarization.V
 OMEGA = cmath.exp(2j * math.pi / 3)
 
+H25 = FockState(2, (25, 0), (0, 0))
+CAP_REFUSALS = {
+    "evolve": lambda: evolve(dft_multiport(2), H25),
+    "require_capacity": lambda: require_capacity(H25),
+    "run_polarization_w": lambda: run_polarization_w(26),
+    "transition_amplitude": lambda: transition_amplitude(dft_multiport(2), H25, H25),
+    "mapping": lambda: SuperposedState({H25: 1.0}, 2),
+    "list": lambda: SuperposedState([(H25, 1.0)], 2),
+    "from_json_obj": lambda: SuperposedState.from_json_obj(
+        {"nPorts": 2, "terms": [{"state": H25.to_json_obj(), "amp": [1.0, 0.0]}]}),
+}
+
 
 def all_fock_states(n_ports, max_photons):
     modes = [Mode(p, pol) for p in range(n_ports) for pol in (H, V)]
@@ -451,6 +463,13 @@ class TestEvolve:
                 with pytest.raises(CapacityError, match="24-photon cap"):
                     evolve(np.eye(1), state)
 
+    @pytest.mark.parametrize("refuse", CAP_REFUSALS.values(), ids=CAP_REFUSALS.keys())
+    def test_one_photon_cap_wording(self, refuse):
+        """Every refusal of 25 photons of one polarization names both totals the same way."""
+        with pytest.raises(CapacityError, match=r"^25 H and [01] V photons( over (2|26) ports)?: "
+                                                r"over the 24-photon cap per polarization$"):
+            refuse()
+
     @pytest.mark.parametrize("k_h, k_v", [(25, 0), (0, 25), (10**18, 0),
                                           pytest.param(10**5000, 0, id="10**5000-0")])
     def test_transition_amplitude_photon_cap_fails_before_any_work(self, monkeypatch, k_h, k_v):
@@ -461,8 +480,8 @@ class TestEvolve:
 
         monkeypatch.setattr(evolve_module, "permanent", no_permanent)
         state = FockState(1, (k_h,), (k_v,))
-        with pytest.raises(CapacityError, match=r"photons of one polarization, "
-                                                r"over the 24-photon cap$"):
+        with pytest.raises(CapacityError, match=r"^(over 2\*\*\d+|\d+) H and \d+ V photons: "
+                                                r"over the 24-photon cap per polarization$"):
             transition_amplitude(np.eye(1), state, state)
 
     def test_no_huge_comb_before_the_refusal(self, monkeypatch):

@@ -387,6 +387,12 @@ class TestSuperposedState:
         with pytest.raises(ValueError, match="n_ports"):
             SuperposedState([], 0, require_normalized=False)
 
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_product_table_of_another_width_refused(self, width):
+        table = np.zeros((1, width), dtype=np.int8)
+        with pytest.raises(ValueError, match=f"^term table has {width} columns, expected 4$"):
+            SuperposedState(Product((table, [1.0])), 2)
+
     def test_counts_past_int64(self):
         huge = FockState(2, (2**70, 0), (0, 0))
         with pytest.raises(CapacityError, match="over the 24-photon cap per polarization$"):

@@ -192,7 +192,7 @@ def test_state_text_matches_indent_encoder(state):
 def test_text_lookup_holds_only_the_table_keys():
     """One row over 2,000 ports with 24 H photons at port 1,000 and one V photon at each
     of 24 ports: a lookup of every port and count pair would take 2 * 2000 * 25**2 slots,
-    so it must hold only the keys in the table."""
+    so only the 25 ports that hold a photon get key slots, 2 * 25 * 25**2 + 4 texts."""
     n = 2000
     h = tuple(24 if port == 1000 else 0 for port in range(n))
     row = FockState(n, h, tuple(int(port % 84 == 7) for port in range(n)))

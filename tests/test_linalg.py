@@ -12,6 +12,7 @@ import pytest
 
 from wstategen import cli, linalg
 from wstategen.errors import CapacityError
+from wstategen.fock import target_from_coefficients
 from wstategen.schemes import run_designed_path
 
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -351,6 +352,16 @@ class TestCompleteUnitary:
             linalg.complete_unitary_from_column(target)
         with pytest.raises(ValueError, match="one-dimensional"):
             run_designed_path(target)
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf],
+                             ids=["nan", "nan-imag", "inf"])
+    def test_rejects_non_finite_target(self, bad):
+        """A NaN entry makes the norm NaN, which passes the normalization test."""
+        target = np.array([bad, 1.0])
+        for build in (linalg.complete_unitary_from_column, run_designed_path,
+                      lambda c: target_from_coefficients(c, "path")):
+            with pytest.raises(ValueError, match="^target column contains non-finite entries$"):
+                build(target)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("phase", [1, -1, 1j, cmath.exp(0.7j)], ids=["1", "-1", "i", "e0.7i"])
