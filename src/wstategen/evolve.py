@@ -25,7 +25,7 @@ from itertools import chain, combinations_with_replacement, product as iproduct
 import numpy as np
 
 from .errors import CapacityError, NumericalError, int_text
-from .fock import FockState, Product, SuperposedState
+from .fock import FockState, SuperposedState, Table
 from .linalg import UNITARITY_TOL, check_photon_cap, outer, permanent, square, verify_unitary
 
 # Exact-enumeration limits; see CapacityError.
@@ -181,7 +181,11 @@ def evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:
     # After the caps: they are integer arithmetic, this is an n x n matmul.
     if not verify_unitary(u):
         raise NumericalError(f"matrix not unitary within {UNITARITY_TOL}")
-    return SuperposedState(Product(_sector(u, input_state.h), _sector(u, input_state.v)), len(u))
+    (h, a), (v, b), n = _sector(u, input_state.h), _sector(u, input_state.v), len(u)
+    # Each H row beside each V row, H major, with the product of their amplitudes.
+    amps, rows = outer(a, b).ravel(), np.empty((len(h), len(v), 2 * n), np.int8)
+    rows[:, :, :n], rows[:, :, n:] = h[:, None, :], v[None, :, :]
+    return SuperposedState(Table(rows.reshape(-1, 2 * n), amps), n)
 
 
 def oracle_evolve(u: np.ndarray, input_state: FockState) -> SuperposedState:

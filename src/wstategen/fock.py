@@ -203,42 +203,24 @@ def fock_states(n_ports: int, table: np.ndarray) -> list[FockState]:
             for row in table.tolist()]
 
 
-class Product:
-    """Terms of a :class:`SuperposedState` as arrays: every combination of one row per factor.
+class Table:
+    """Terms of a :class:`SuperposedState` as arrays: a 2-D table of int rows (the ``h``
+    counts, then the ``v`` counts) and one complex amplitude per row.
 
-    Each factor is an ``(occupations, amplitudes)`` pair: a 2-D table of
-    int rows and one complex amplitude per row. A term puts one row of each
-    factor side by side, first factor major, so the factors' columns add up
-    to the ``h`` then ``v`` columns of a state, and multiplies their
-    amplitudes by :func:`linalg.outer`. The caller keeps each factor's rows
-    distinct and ascending, so the terms are too, and gives every term the
-    same photon count per polarization, at most ``linalg.PHOTON_CAP``;
-    neither is checked. A table of another dtype than int8 is checked to
-    hold counts 0 to the cap, then cast. The length is the number of terms.
+    The caller keeps the rows distinct and ascending and gives every row the
+    same photon count per polarization, at most ``linalg.PHOTON_CAP``; neither
+    is checked, but the shapes are. A table of another dtype than int8 is
+    checked to hold counts 0 to the cap, then cast. The length is the number of rows.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("occupations", "amplitudes")
 
-    def __init__(self, *factors: tuple[Sequence[Sequence[int]] | np.ndarray,
-                                       Sequence[complex] | np.ndarray]):
-        self.factors = factors
+    def __init__(self, occupations: Sequence[Sequence[int]] | np.ndarray,
+                 amplitudes: Sequence[complex] | np.ndarray):
+        self.occupations, self.amplitudes = occupations, amplitudes
 
     def __len__(self) -> int:
-        return math.prod(len(amps) for _, amps in self.factors)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The occupation table and the amplitude vector of the terms."""
-        (occ, amps), *rest = self.factors
-        occ, amps = np.asarray(occ), np.asarray(amps, dtype=complex)
-        for table, b in rest:
-            table, prod = np.asarray(table), linalg.outer(amps, b)
-            width = occ.shape[1]
-            rows = np.empty((len(occ), len(table), width + table.shape[1]),
-                            dtype=np.result_type(occ, table))
-            rows[:, :, :width] = occ[:, None, :]
-            rows[:, :, width:] = table[None, :, :]
-            occ, amps = rows.reshape(prod.size, -1), prod.ravel()
-        return occ, amps
+        return len(self.occupations)
 
 
 @functools.lru_cache(maxsize=16)
@@ -282,9 +264,9 @@ class SuperposedState:
     """
 
     def __init__(self, terms: Mapping[FockState, complex] | Iterable[tuple[FockState, complex]]
-                 | Product, n_ports: int, require_normalized: bool = True):
+                 | Table, n_ports: int, require_normalized: bool = True):
         n_ports = size(n_ports, "n_ports", 1)
-        if not isinstance(terms, Product):
+        if not isinstance(terms, Table):
             items = terms.items() if isinstance(terms, Mapping) else terms
             sums: dict[FockState, complex] = {}
             for state, amp in items:
@@ -302,8 +284,10 @@ class SuperposedState:
             for k_h, k_v in totals:  # the one pair, if any term is left
                 linalg.check_photon_cap(k_h, k_v)
             occ = np.array([h + v for _, h, v in states], dtype=np.int8)
-            terms = Product((occ.reshape(len(states), 2 * n_ports), [sums[s] for s in states]))
-        occ, amps = terms.arrays()
+            terms = Table(occ.reshape(len(states), 2 * n_ports), [sums[s] for s in states])
+        occ, amps = np.asarray(terms.occupations), np.asarray(terms.amplitudes, dtype=complex)
+        if occ.ndim != 2 or amps.shape != occ.shape[:1]:
+            raise ValueError(f"term table of shape {occ.shape} does not fit {amps.shape} amplitudes")
         if occ.shape[1] != 2 * n_ports:
             raise ValueError(f"term table has {occ.shape[1]} columns, expected {2 * n_ports}")
         if occ.dtype != np.int8:  # checked before the cast, so no count wraps
@@ -459,5 +443,5 @@ def target_from_coefficients(coeffs: Sequence[complex], kind: str) -> Superposed
     # coefficient n-1-k for "polarization", so the rows ascend.
     one_hot = np.eye(n, dtype=np.int8)
     if kind == "path":
-        return SuperposedState(Product((np.hstack((one_hot[::-1], np.zeros_like(one_hot))), c)), n)
-    return SuperposedState(Product((np.hstack((1 - one_hot, one_hot)), c[::-1])), n)
+        return SuperposedState(Table(np.hstack((one_hot[::-1], np.zeros_like(one_hot))), c), n)
+    return SuperposedState(Table(np.hstack((1 - one_hot, one_hot)), c[::-1]), n)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fock, jsontext, linalg
 from .errors import NumericalError, int_text, integer
-from .fock import NORMALIZATION_TOL, FockState, Product, SuperposedState, fock_states, row_keys
+from .fock import NORMALIZATION_TOL, FockState, SuperposedState, Table, fock_states, row_keys
 
 # Below this a kept weight is treated as exact destructive interference,
 # not renormalizable round-off.
@@ -96,7 +96,7 @@ def postselect(state: SuperposedState, pattern: CoincidencePattern) -> PostSelec
         return PostSelectionResult(conditional, 0.0, 0, 1.0)
     scale = 1.0 / math.sqrt(probability)
     conditional = SuperposedState(  # each a * scale, in the real form of Python's complex * float
-        Product((state.occupations[mask], linalg.outer(kept, [scale])[:, 0])), state.n_ports
+        Table(state.occupations[mask], linalg.outer(kept, [scale])[:, 0]), state.n_ports
     )
     return PostSelectionResult(conditional, probability, len(kept), 1.0 - probability)
 

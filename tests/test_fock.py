@@ -11,8 +11,8 @@ from wstategen.fock import (
     FockState,
     Mode,
     Polarization,
-    Product,
     SuperposedState,
+    Table,
     probabilities,
     product_input,
     row_keys,
@@ -159,7 +159,7 @@ def _table_state(states: list[FockState]) -> SuperposedState:
     """The terms ``states``, in the given order, each with amplitude 1."""
     n = states[0].n_ports
     table = np.array([h + v for _, h, v in states], dtype=np.int64).reshape(len(states), 2 * n)
-    return SuperposedState(Product((table, np.ones(len(states)))), n, require_normalized=False)
+    return SuperposedState(Table(table, np.ones(len(states))), n, require_normalized=False)
 
 
 def _assert_kets_match_reference(state: SuperposedState) -> None:
@@ -391,7 +391,31 @@ class TestSuperposedState:
     def test_product_table_of_another_width_refused(self, width):
         table = np.zeros((1, width), dtype=np.int8)
         with pytest.raises(ValueError, match=f"^term table has {width} columns, expected 4$"):
-            SuperposedState(Product((table, [1.0])), 2)
+            SuperposedState(Table(table, [1.0]), 2)
+
+    @pytest.mark.parametrize("table, amps, shapes", [
+        ([[1, 0], [0, 1], [1, 0]], [1.0], r"\(3, 2\) does not fit \(1,\)"),
+        ([[1, 0]], [0.6, 0.8], r"\(1, 2\) does not fit \(2,\)"),
+        ([1, 30], [1.0], r"\(2,\) does not fit \(1,\)"),
+    ])
+    def test_table_that_does_not_fit_its_amplitudes_refused(self, table, amps, shapes):
+        """Refused before any other check: each table also has the wrong width for 2 ports,
+        and the count 30 is past the cap."""
+        with pytest.raises(ValueError, match=f"^term table of shape {shapes} amplitudes$"):
+            SuperposedState(Table(np.array(table), amps), 2, require_normalized=False)
+
+    def test_table_length_is_its_row_count(self):
+        assert len(Table(np.zeros((3, 4), dtype=np.int8), [0.6, 0.8, 0.0])) == 3
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        state = w_state_path(2)
+        assert state.__eq__(state.terms) is NotImplemented
+        assert state != state.terms and state != "|H0>"
+
+    def test_allclose_needs_equal_port_counts(self):
+        """Two empty states differ in no term, only in their port counts."""
+        a, b = (SuperposedState({}, n, require_normalized=False) for n in (2, 3))
+        assert a.allclose(a) and not a.allclose(b) and not b.allclose(a)
 
     def test_counts_past_int64(self):
         huge = FockState(2, (2**70, 0), (0, 0))
@@ -431,9 +455,9 @@ def _householder_4() -> np.ndarray:
 
 
 def _int64_copy(state: SuperposedState) -> SuperposedState:
-    """``state`` rebuilt from an int64 copy of its table, in the :class:`Product` form."""
+    """``state`` rebuilt from an int64 copy of its table, in the :class:`Table` form."""
     table = state.occupations.astype(np.int64)
-    return SuperposedState(Product((table, state.amplitudes)), state.n_ports)
+    return SuperposedState(Table(table, state.amplitudes), state.n_ports)
 
 
 class TestRowKeys:
@@ -444,7 +468,7 @@ class TestRowKeys:
         assert out.occupations.dtype == np.int8
         for dtype in (np.int64, np.uint16):
             wide = out.occupations.astype(dtype)
-            copy = SuperposedState(Product((wide, out.amplitudes)), 3)
+            copy = SuperposedState(Table(wide, out.amplitudes), 3)
             assert copy.occupations.dtype == np.int8
             assert row_keys(copy.occupations) == row_keys(out.occupations)
             assert copy.row_index() == out.row_index()
@@ -517,11 +541,11 @@ class TestPhotonCap:
         assert state.amplitude(FockState(2, (1, 0), (0, 1))) == 0.6
 
     @pytest.mark.parametrize("count", [25, 127, 256, 2**40, -1, -256])
-    def test_wide_product_table_out_of_range_refused(self, count):
+    def test_wide_table_out_of_range_refused(self, count):
         """A count past int8 would wrap in the cast, so none reaches it."""
         table = np.array([[1, 0, 0, 1], [0, 1, count, 0]], dtype=np.int64)
         with pytest.raises(ValueError, match="^photon counts must be 0 to 24$"):
-            SuperposedState(Product((table, [0.6, 0.8])), 2)
+            SuperposedState(Table(table, [0.6, 0.8]), 2)
 
     def test_every_built_state_holds_int8(self):
         u = linalg.dft_multiport(3)

@@ -20,7 +20,7 @@ import pytest
 from wstategen import jsontext, linalg
 from wstategen.cli import main
 from wstategen.evolve import evolve
-from wstategen.fock import _BLOCK, FockState, Product, SuperposedState
+from wstategen.fock import _BLOCK, FockState, SuperposedState, Table
 from wstategen.postselect import CoincidencePattern, PostSelectionResult, postselect
 from wstategen.schemes import SchemeReport, run_designed_path, run_path_w, run_polarization_w
 from support import assert_same_text
@@ -94,12 +94,12 @@ def _edge_state() -> SuperposedState:
 
 
 def _table_state(rows: list[list[int]], seed: int) -> SuperposedState:
-    """Unnormalized state of the given occupation rows, which ``Product`` does not check
+    """Unnormalized state of the given occupation rows, which ``Table`` does not check
     for order or equal photon totals, so vacuum rows may follow occupied ones."""
     rng = random.Random(seed)
     amps = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in rows]
     table = np.array(rows, dtype=np.int64)
-    return SuperposedState(Product((table, amps)), table.shape[1] // 2, require_normalized=False)
+    return SuperposedState(Table(table, amps), table.shape[1] // 2, require_normalized=False)
 
 
 def _states() -> list[SuperposedState]:
@@ -141,7 +141,7 @@ def _states() -> list[SuperposedState]:
         # More rows than one block: int8, one V photon.
         run_polarization_w(6).output_state,
         # Four equal amplitude parts, real and imaginary.
-        SuperposedState(Product((np.eye(2, dtype=np.int64), [0.5 + 0.5j] * 2)), 1,
+        SuperposedState(Table(np.eye(2, dtype=np.int64), [0.5 + 0.5j] * 2), 1,
                         require_normalized=False),
     ]
     return states

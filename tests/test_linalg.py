@@ -290,6 +290,11 @@ class TestPermanent:
         with pytest.raises(ValueError):
             linalg.permanent(np.ones((2, 3)))
 
+    def test_naive_rejects_empty(self):
+        """Its sum over the one permutation of nothing would give 1."""
+        with pytest.raises(ValueError, match="^the permanent needs a non-empty matrix$"):
+            linalg.permanent_naive(np.empty((0, 0)))
+
     def test_size_cap(self):
         with pytest.raises(CapacityError):
             linalg.permanent(np.eye(25))

@@ -24,12 +24,12 @@ from wstategen.evolve import evolve
 from wstategen.fock import (
     AMPLITUDE_PRUNE_TOL,
     FockState,
-    Product,
     SuperposedState,
+    Table,
     w_state_path,
     w_state_polarization,
 )
-from wstategen.linalg import canonical_quarter, dft_multiport, permanent
+from wstategen.linalg import canonical_quarter, dft_multiport, outer, permanent
 from wstategen.postselect import ZERO_PROBABILITY_TOL, CoincidencePattern, fidelity, postselect
 from support import random_unitary
 
@@ -252,7 +252,8 @@ def test_prune_at_the_tolerance_matches_abs(seed):
     h_amps = _boundary_amplitudes(len(h_rows), seed)
     v_rows = [(0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0)]
     v_amps = [1.0 + 0.0j, complex(-1.0, -0.0), complex(0.5, -0.0)]
-    built = SuperposedState(Product((h_rows, h_amps), (v_rows, v_amps)), n,
+    rows = [h + v for h in h_rows for v in v_rows]
+    built = SuperposedState(Table(rows, outer(h_amps, v_amps).ravel()), n,
                             require_normalized=False)
     reference = _reference_terms(((FockState(n, h, v), a * b) for h, a in zip(h_rows, h_amps)
                                   for v, b in zip(v_rows, v_amps)), n)
